@@ -30,6 +30,7 @@ __all__ = [
     "PolicyEvaluation",
     "marginal",
     "expected_final_reward",
+    "continuous_optimum",
     "optimal_schedule",
     "brute_force_optimal",
     "t_star",
@@ -125,6 +126,13 @@ def _hypothesis_bound(T: int, d: int, sigma2: float, kappa2: float) -> float:
     return (1.0 + rho) ** T * math.sqrt(d * (sigma2 + kappa2))
 
 
+def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarray:
+    """Real-valued budget-optimal counts n_t = C*(1+rho)^t / sum_k (1+rho)^k."""
+    rho = sigma2 / kappa2
+    weights = np.array([(1.0 + rho) ** t for t in range(T)])
+    return C * weights / weights.sum()
+
+
 def optimal_schedule(
     C: int,
     T: int,
@@ -134,11 +142,10 @@ def optimal_schedule(
 ) -> Schedule:
     """Budget-optimal schedule: counts proportional to (1+rho)^t.
 
-    The continuous optimum n_t = C*(1+rho)^t / sum_k (1+rho)^k is
-    rounded by largest-remainder apportionment so the entries sum to C
-    exactly; zero entries (possible when C barely exceeds T) are
-    repaired by moving units from the largest entry and flagged via
-    ``clamped``. Proportionality fixes the schedule only up to shifts
+    The :func:`continuous_optimum` is rounded by largest-remainder
+    apportionment so the entries sum to C exactly; zero entries
+    (possible when C barely exceeds T) are repaired by moving units
+    from the largest entry and flagged via ``clamped``. Proportionality fixes the schedule only up to shifts
     for a fixed T, so the t=0-anchored representative is returned.
 
     When ``theta0`` is supplied, warns if it violates the
@@ -150,8 +157,7 @@ def optimal_schedule(
     if C < T:
         raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
     rho = sigma2 / kappa2
-    weights = np.array([(1.0 + rho) ** t for t in range(T)])
-    continuous = C * weights / weights.sum()
+    continuous = continuous_optimum(C, T, sigma2, kappa2)
     floors = np.floor(continuous).astype(int)
     remainder = int(C - floors.sum())
     # Stable sort on descending fractional part; earlier index wins ties.
@@ -228,12 +234,9 @@ def _gauss_hermite_inv_reward(
     """E[1/r(theta)] for theta ~ N(mu, var*I_d) by per-coordinate
     Gauss-Hermite quadrature. 1/r factorizes across coordinates, so a
     one-dimensional rule per coordinate suffices. Requires
-    var < sigma2+kappa2, else the expectation diverges."""
+    var < sigma2+kappa2 (checked by the caller), else the expectation
+    diverges."""
     s = sigma2 + kappa2
-    if var >= s:
-        raise ValueError(
-            f"E[1/r] diverges: marginal variance {var:.6g} >= sigma2+kappa2 = {s:.6g}"
-        )
     rho = sigma2 / kappa2
     z, w = np.polynomial.hermite.hermgauss(nodes)
     out = (1.0 + rho) ** (mu.size / 2.0)
@@ -258,6 +261,9 @@ def cost_curve(
     default "ratio" mode approximates that by n_t / E[r(theta^(t))]
     (ratio of expectations in place of expectation of the ratio);
     "quadrature" computes E[1/r] with a 64-node Gauss-Hermite rule.
+
+    Raises ``ValueError`` naming the iteration T at which E[r]
+    underflows to 0 or E[1/r] diverges or overflows.
     """
     ns = _counts(schedule)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
@@ -284,15 +290,21 @@ def cost_curve(
         # it is the point mass at theta0, so E[r] and E[1/r] are exact.
         if t == 0:
             r_before = expected_reward(model0, rw)
-            inv_r = 1.0 / r_before
         else:
             r_before = expected_final_reward(
                 MarginalLaw(mu=mu, sigma2_T=sig2, T=t, d=d), sigma2, kappa2
             )
-            if n_t_expectation == "ratio":
-                inv_r = 1.0 / r_before
-            else:
-                inv_r = _gauss_hermite_inv_reward(mu, sig2, sigma2, kappa2)
+        if t == 0 or n_t_expectation == "ratio":
+            inv_r = 1.0 / r_before if r_before > 0.0 else math.inf
+        elif sig2 < sigma2 + kappa2:
+            inv_r = _gauss_hermite_inv_reward(mu, sig2, sigma2, kappa2)
+        else:
+            inv_r = math.inf  # E[1/r] diverges once sig2 >= sigma2 + kappa2
+        if not math.isfinite(inv_r):
+            raise ValueError(
+                f"expected draws per accepted sample are infinite at T={t + 1}: "
+                f"E[r] = {r_before:.6g}, parameter variance {sig2:.6g}"
+            )
         expected_draws = n_t * inv_r
         running += cost.c_g * expected_draws + cost.c_t * n_t
         # One-step recursion for the law of theta^(t+1).

@@ -138,9 +138,12 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     series = []
     for p in cfg.policies:
         schedule = build_schedule(p, cfg.T)
-        ev = analytic.cost_curve(
-            schedule, cfg.theta0, cfg.sigma2, cfg.kappa2, cost, label=p.label
-        )
+        try:
+            ev = analytic.cost_curve(
+                schedule, cfg.theta0, cfg.sigma2, cfg.kappa2, cost, label=p.label
+            )
+        except ValueError as exc:
+            return _fail(f"policy {p.label!r}: {exc}", EXIT_RUNTIME)
         write_agg_csv(out_dir / f"{p.label}_analytic.csv", analytic_rows(p.label, ev))
         write_text_atomic(out_dir / f"{p.label}_law.csv", law_csv_text(p.label, ev))
         series.append(Series(p.label, ev.cum_cost, ev.gap, None))
@@ -162,9 +165,7 @@ def cmd_optimal_policy(args: argparse.Namespace) -> int:
     if args.sigma2 <= 0 or args.kappa2 <= 0:
         return _fail("sigma2 and kappa2 must be positive", EXIT_VALIDATION)
     theta0 = np.array(args.theta0, dtype=float) if args.theta0 else None
-    rho = args.sigma2 / args.kappa2
-    weights = np.array([(1.0 + rho) ** t for t in range(T)])
-    continuous = C * weights / weights.sum()
+    continuous = analytic.continuous_optimum(C, T, args.sigma2, args.kappa2)
     schedule = analytic.optimal_schedule(C, T, args.sigma2, args.kappa2, theta0)
     ns = list(schedule.n)
     sig2 = analytic.marginal(
@@ -194,6 +195,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]
         if not values:
             raise ConfigError("sweep needs a non-empty --values list")
+        names = [f"{v:g}" for v in values]
+        if len(set(names)) != len(names):
+            # Point directories and summary rows are named by {value:g}.
+            raise ConfigError(f"--values {args.values!r} repeat a point name: {names}")
         swept = [apply_override(cfg, args.axis, v) for v in values]
     except (ConfigError, ValueError) as exc:
         return _fail(str(exc), EXIT_VALIDATION)

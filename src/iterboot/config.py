@@ -19,8 +19,12 @@ errors can always name a line:
     [run] / [cost] / [output] sections follow the same key = value shape.
 
 Policy sections are one per labeled policy; the ``family`` key selects
-constant, polynomial, exponential, explicit, batch_constant,
-batch_linear, batch_exponential, budget_constant or budget_linear.
+one of :data:`policy.FAMILIES` (constant, polynomial, exponential,
+explicit, batch_constant, batch_linear, batch_exponential,
+budget_constant, budget_linear). The other keys of the section are the
+fields of that family's spec dataclass, typed as the fields are; fields
+without a default are required. The explicit family's key is
+``schedule`` (``schedule = 4, 5, 6``), matching its spec field.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,19 +52,6 @@ __all__ = [
 class ConfigError(ValueError):
     """Config problem, with the offending line number where known."""
 
-
-_POLICY_FAMILIES = {
-    "constant": {"n0"},
-    "polynomial": {"n0", "alpha"},
-    "exponential": {"n0", "u"},
-    "explicit": {"schedule"},
-    "batch_constant": {"n", "B"},
-    "batch_linear": {"n", "B"},
-    "batch_exponential": {"n", "u", "B"},
-    "budget_constant": {"n0", "u"},
-    "budget_linear": {"n0", "u", "normalization"},
-}
-_POLICY_OPTIONAL = {"budget_linear": {"normalization"}}
 
 _SECTION_KEYS = {
     "model": {"d", "sigma2", "kappa2", "theta0"},
@@ -107,6 +99,10 @@ class ExperimentConfig:
     @property
     def d(self) -> int:
         return self.theta0.size
+
+
+# Config key -> type, for the keys that set an ExperimentConfig field.
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 @dataclass
@@ -189,6 +185,18 @@ def _as_int_list(entry: _Entry, key: str) -> list[int]:
         raise ConfigError(f"line {entry.line}: {key} must be comma-separated integers") from None
 
 
+# Config value parser by the type of the field a key sets.
+_KEY_PARSERS = {
+    int: _as_int,
+    int | None: _as_int,
+    float: _as_float,
+    float | None: _as_float,
+    bool: _as_bool,
+    str: lambda entry, key: entry.value,
+    tuple[int, ...]: lambda entry, key: tuple(_as_int_list(entry, key)),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises :class:`ConfigError` with
     line numbers on any problem."""
@@ -253,66 +261,31 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {model['d'].line}: d={d} but theta0 has {theta0.size} coordinates"
             )
 
+    # [run], [cost] and [output] keys set the ExperimentConfig field of
+    # the same name (``directory`` sets ``out_dir``), parsed by its type.
+    scalars: dict[str, object] = {}
+    required = {"run": ("T", "runs", "master_seed"), "cost": ("c_g", "c_t"), "output": ()}
+    for section, keys in required.items():
+        entries = sections.get(section, {})
+        for req in keys:
+            if req not in entries:
+                raise ConfigError(f"section [{section}] is missing required key {req!r}")
+        for key, entry in entries.items():
+            field = "out_dir" if key == "directory" else key
+            scalars[field] = _KEY_PARSERS[_FIELD_TYPES[field]](entry, key)
     runsec = sections["run"]
-    for req in ("T", "runs", "master_seed"):
-        if req not in runsec:
-            raise ConfigError(f"section [run] is missing required key {req!r}")
-    T = _as_int(runsec["T"], "T")
-    runs = _as_int(runsec["runs"], "runs")
-    master_seed = _as_int(runsec["master_seed"], "master_seed")
-    if T < 1:
+    if scalars["T"] < 1:
         raise ConfigError(f"line {runsec['T'].line}: T must be >= 1")
-    if runs < 2:
+    if scalars["runs"] < 2:
         raise ConfigError(
             f"line {runsec['runs'].line}: runs must be >= 2 (standard errors need at "
             f"least two completed runs)"
         )
-    update = runsec["update"].value if "update" in runsec else "mle"
-    if update not in ("mle", "gd"):
+    if scalars.get("update", "mle") not in ("mle", "gd"):
         raise ConfigError(f"line {runsec['update'].line}: update must be 'mle' or 'gd'")
-    eta = _as_float(runsec["eta"], "eta") if "eta" in runsec else None
-    max_draws = (
-        _as_int(runsec["max_draws_per_iter"], "max_draws_per_iter")
-        if "max_draws_per_iter" in runsec
-        else None
-    )
-    divergence_cap = (
-        _as_float(runsec["divergence_cap"], "divergence_cap")
-        if "divergence_cap" in runsec
-        else 1e6
-    )
-
-    costsec = sections["cost"]
-    for req in ("c_g", "c_t"):
-        if req not in costsec:
-            raise ConfigError(f"section [cost] is missing required key {req!r}")
-    c_g = _as_float(costsec["c_g"], "c_g")
-    c_t = _as_float(costsec["c_t"], "c_t")
-
-    outsec = sections.get("output", {})
-    out_dir = outsec["directory"].value if "directory" in outsec else "out"
-    emit_svg = _as_bool(outsec["emit_svg"], "emit_svg") if "emit_svg" in outsec else True
-    eval_samples = (
-        _as_int(outsec["eval_samples"], "eval_samples") if "eval_samples" in outsec else 10_000
-    )
 
     cfg = ExperimentConfig(
-        sigma2=sigma2,
-        kappa2=kappa2,
-        theta0=theta0,
-        policies=tuple(policies),
-        T=T,
-        runs=runs,
-        master_seed=master_seed,
-        update=update,
-        eta=eta,
-        max_draws_per_iter=max_draws,
-        divergence_cap=divergence_cap,
-        c_g=c_g,
-        c_t=c_t,
-        out_dir=out_dir,
-        emit_svg=emit_svg,
-        eval_samples=eval_samples,
+        sigma2=sigma2, kappa2=kappa2, theta0=theta0, policies=tuple(policies), **scalars
     )
     # Materialize every policy once now so family/parameter problems
     # surface as config errors, not later runtime ones.
@@ -326,35 +299,23 @@ def _parse_policy(label: str, entries: dict[str, _Entry], lineno: int) -> Policy
         raise ConfigError(f"line {lineno}: policy {label!r} is missing the 'family' key")
     family_entry = entries["family"]
     family = family_entry.value
-    if family not in _POLICY_FAMILIES:
+    if family not in pol.FAMILIES:
         raise ConfigError(
             f"line {family_entry.line}: unknown policy family {family!r} "
-            f"(expected one of {sorted(_POLICY_FAMILIES)})"
+            f"(expected one of {sorted(pol.FAMILIES)})"
         )
-    allowed = _POLICY_FAMILIES[family]
-    optional = _POLICY_OPTIONAL.get(family, set())
+    keys = pol.spec_fields(pol.FAMILIES[family])
     params: dict[str, object] = {}
     for key, entry in entries.items():
         if key == "family":
             continue
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(
                 f"line {entry.line}: unknown policy family key {key!r} for "
-                f"family {family!r} (allowed: {sorted(allowed)})"
+                f"family {family!r} (allowed: {sorted(keys)})"
             )
-        if key in ("n0", "B"):
-            params[key] = _as_int(entry, key)
-        elif key in ("alpha", "u", "n"):
-            params[key] = _as_float(entry, key)
-        elif key == "schedule":
-            params[key] = tuple(_as_int_list(entry, key))
-        elif key == "normalization":
-            if entry.value not in ("verbatim", "exact"):
-                raise ConfigError(
-                    f"line {entry.line}: normalization must be 'verbatim' or 'exact'"
-                )
-            params[key] = entry.value
-    missing = allowed - optional - set(params)
+        params[key] = _KEY_PARSERS[keys[key][0]](entry, key)
+    missing = {key for key, (_, required) in keys.items() if required} - set(params)
     if missing:
         raise ConfigError(
             f"line {lineno}: policy {label!r} (family {family!r}) is missing "
@@ -365,35 +326,12 @@ def _parse_policy(label: str, entries: dict[str, _Entry], lineno: int) -> Policy
 
 def build_schedule(p: PolicyConfig, T: int) -> pol.Schedule:
     """Materialize a configured policy for horizon T."""
+    if p.family not in pol.FAMILIES:
+        raise ConfigError(f"policy {p.label!r}: unknown family {p.family!r}")
     try:
-        if p.family == "constant":
-            return pol.materialize(pol.Constant(p.params["n0"]), T)
-        if p.family == "polynomial":
-            return pol.materialize(pol.Polynomial(p.params["n0"], p.params["alpha"]), T)
-        if p.family == "exponential":
-            return pol.materialize(pol.Exponential(p.params["n0"], p.params["u"]), T)
-        if p.family == "explicit":
-            return pol.materialize(pol.Explicit(p.params["schedule"]), T)
-        if p.family == "batch_constant":
-            return pol.materialize(pol.BatchConstant(p.params["n"], p.params["B"]), T)
-        if p.family == "batch_linear":
-            return pol.materialize(pol.BatchLinear(p.params["n"], p.params["B"]), T)
-        if p.family == "batch_exponential":
-            return pol.materialize(
-                pol.BatchExponential(p.params["n"], p.params["u"], p.params["B"]), T
-            )
-        if p.family == "budget_constant":
-            return pol.budget_matched_constant(p.params["n0"], p.params["u"], T)
-        if p.family == "budget_linear":
-            return pol.budget_matched_linear(
-                p.params["n0"],
-                p.params["u"],
-                T,
-                p.params.get("normalization", "verbatim"),
-            )
+        return pol.materialize(pol.FAMILIES[p.family](**p.params), T)
     except ValueError as exc:
         raise ConfigError(f"policy {p.label!r}: {exc}") from exc
-    raise ConfigError(f"policy {p.label!r}: unknown family {p.family!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -405,41 +343,39 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(text)
 
 
+def _axis_value(axis: str, kind: object, value: float) -> int | float:
+    """``value`` as the type of the key that ``axis`` names; integer keys
+    reject non-integral values."""
+    if kind in (int, int | None):
+        if not float(value).is_integer():
+            raise ConfigError(f"axis {axis!r} takes integer values, got {value!r}")
+        return int(value)
+    if kind in (float, float | None):
+        return float(value)
+    raise ConfigError(f"axis {axis!r} does not name a numeric config key")
+
+
 def apply_override(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """Return a copy of ``cfg`` with one numeric key replaced.
 
     ``axis`` is a dotted path: ``model.sigma2``, ``run.T``, ``cost.c_g``,
     ``output.eval_samples`` or ``policy.<label>.<key>``. Only numeric
-    keys can be swept.
+    keys can be swept, typed as the config field or the policy spec
+    field they set.
     """
     parts = axis.split(".")
     if len(parts) == 2:
         section, key = parts
-        if section == "model" and key in ("sigma2", "kappa2"):
-            return replace(cfg, **{key: float(value)})
-        if section == "run" and key in ("T", "runs", "master_seed", "max_draws_per_iter"):
-            return replace(cfg, **{key: int(value)})
-        if section == "run" and key in ("eta", "divergence_cap"):
-            return replace(cfg, **{key: float(value)})
-        if section == "cost" and key in ("c_g", "c_t"):
-            return replace(cfg, **{key: float(value)})
-        if section == "output" and key == "eval_samples":
-            return replace(cfg, eval_samples=int(value))
-        raise ConfigError(f"axis {axis!r} does not name a numeric config key")
+        kind = _FIELD_TYPES.get(key) if key in _SECTION_KEYS.get(section, ()) else None
+        return replace(cfg, **{key: _axis_value(axis, kind, value)})
     if len(parts) == 3 and parts[0] == "policy":
         _, label, key = parts
         for i, p in enumerate(cfg.policies):
             if p.label == label:
-                if key not in p.params or not isinstance(p.params[key], (int, float)):
-                    raise ConfigError(
-                        f"axis {axis!r} does not name a numeric key of policy {label!r}"
-                    )
-                new_params = dict(p.params)
-                new_params[key] = (
-                    int(value) if isinstance(p.params[key], int) else float(value)
-                )
+                kind = pol.spec_fields(pol.FAMILIES[p.family]).get(key, (None, False))[0]
+                params = {**p.params, key: _axis_value(axis, kind, value)}
                 policies = list(cfg.policies)
-                policies[i] = replace(p, params=new_params)
+                policies[i] = replace(p, params=params)
                 return replace(cfg, policies=tuple(policies))
         raise ConfigError(f"axis {axis!r}: no policy labeled {label!r}")
     raise ConfigError(f"axis {axis!r} is not of the form section.key or policy.label.key")

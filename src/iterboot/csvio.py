@@ -124,11 +124,19 @@ def _render(row: AggRow) -> list[str]:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text via a temp file in the same directory, then rename."""
+    """Write text via a temp file in the same directory, then rename.
+
+    The temp name is random per call, so concurrent writers of one path
+    never share it; it is removed if the write or the rename fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_agg_csv(path: str | Path, rows: Iterable[AggRow]) -> None:

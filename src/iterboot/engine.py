@@ -135,9 +135,11 @@ class AggregateTrace:
 @dataclass
 class RunConfig:
     """Everything one run needs. With ``loss_model`` unset the generator
-    is the Gaussian/exponential-reward pair built from ``sigma2``,
-    ``kappa2`` and ``theta0``; a custom :class:`LossModel` supplies its
-    own sampling/reward and is updated by gradient descent.
+    is the Gaussian/exponential-reward pair (:func:`gaussian_nll`) built
+    from ``sigma2``, ``kappa2`` and ``theta0``; a custom
+    :class:`LossModel` supplies its own sampling/reward. Every run is
+    updated by gradient descent; ``update = "mle"`` is the step with
+    eta = sigma2, which is exactly the MLE mean update.
 
     ``max_draws_per_iter`` bounds generation per iteration (default
     1000 * n_t); ``divergence_cap`` bounds ||theta|| before a run is
@@ -162,6 +164,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=np.float64))
+        if not np.all(np.isfinite(self.theta0)):
+            raise ValueError("theta0 must be finite")
         if self.update not in ("mle", "gd"):
             raise ValueError(f"unknown update rule {self.update!r}")
         if self.loss_model is None:
@@ -169,6 +173,8 @@ class RunConfig:
                 raise ValueError("sigma2 and kappa2 are required without a loss_model")
         elif self.update == "mle":
             raise ValueError("MLE updates require the Gaussian model; use update='gd'")
+        elif self.eta is None and self.sigma2 is None:
+            raise ValueError("eta is required for a custom loss model")
         if self.max_draws_per_iter is not None:
             biggest = max(self.schedule.n)
             if self.max_draws_per_iter < biggest:
@@ -186,11 +192,9 @@ class RunConfig:
     def resolve_r_star(self) -> float:
         if self.r_star is not None:
             return self.r_star
-        if self.loss_model is None:
-            return gaussian.optimal_reward(self.d, self.sigma2, self.kappa2)
-        if self.sigma2 is not None and self.kappa2 is not None:
-            return gaussian.optimal_reward(self.d, self.sigma2, self.kappa2)
-        raise ValueError("r_star must be supplied for a custom loss model")
+        if self.sigma2 is None or self.kappa2 is None:
+            raise ValueError("r_star must be supplied for a custom loss model")
+        return gaussian.optimal_reward(self.d, self.sigma2, self.kappa2)
 
 
 def _select(
@@ -269,35 +273,13 @@ def run(cfg: RunConfig) -> RunTrace:
     traces rather than exceptions."""
     rng = np.random.default_rng(cfg.seed)
     theta = cfg.theta0.copy()
-
-    if cfg.loss_model is None:
-        model = gaussian.GaussianModel(theta, cfg.sigma2)
-        rw = gaussian.ExpReward(cfg.kappa2)
-        sample_fn = lambda k: gaussian.sample(model, rng, k)  # noqa: E731
-        reward_fn = lambda x: gaussian.reward(rw, x)  # noqa: E731
-        reward_of = lambda th, t: gaussian.expected_reward(  # noqa: E731
-            gaussian.GaussianModel(th, cfg.sigma2), rw
-        )
-        if cfg.update == "gd":
-            loss_model = gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
-            updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
-            update_fn = lambda th, D: gd_update(th, D, loss_model, updater)  # noqa: E731
-        else:
-            update_fn = lambda th, D: gaussian.mle_update(D)  # noqa: E731
-    else:
-        lm = cfg.loss_model
-        model = None
-        sample_fn = lambda k: lm.sample(theta, rng, k)  # noqa: E731
-        reward_fn = lm.reward
-        closed = getattr(lm, "expected_reward", None)
-        if closed is not None:
-            reward_of = lambda th, t: closed(th)  # noqa: E731
-        else:
-            reward_of = lambda th, t: _mc_expected_reward(lm, th, cfg, t)  # noqa: E731
-        if cfg.eta is None and cfg.sigma2 is None:
-            raise ValueError("eta is required for a custom loss model")
-        updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
-        update_fn = lambda th, D: gd_update(th, D, lm, updater)  # noqa: E731
+    lm = cfg.loss_model
+    if lm is None:
+        lm = gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
+    # MLE is the Gaussian NLL gradient step with eta = sigma2.
+    updater = GdUpdater(cfg.eta if cfg.update == "gd" and cfg.eta is not None else cfg.sigma2)
+    closed = getattr(lm, "expected_reward", None)
+    sample_fn = lambda k: lm.sample(theta, rng, k)  # noqa: E731  (reads the current theta)
 
     records: list[IterationRecord] = []
     status = COMPLETED
@@ -306,29 +288,28 @@ def run(cfg: RunConfig) -> RunTrace:
     for t, n_t in enumerate(cfg.schedule.n):
         cap = cfg.max_draws_per_iter if cfg.max_draws_per_iter is not None else 1000 * n_t
         try:
-            D, N_t, clipped = _select(sample_fn, reward_fn, n_t, cap, rng)
+            D, N_t, clipped = _select(sample_fn, lm.reward, n_t, cap, rng)
         except DrawCapExceeded:
             status = DRAW_CAP_HIT
             break
         clipped_total += clipped
         try:
-            theta = update_fn(theta, D)
+            theta = gd_update(theta, D, lm, updater)
         except DivergenceError:
             status = DIVERGED
             break
         if float(np.linalg.norm(theta)) > cfg.divergence_cap:
             status = DIVERGED
             break
-        if model is not None:
-            model.theta = theta
         cum_cost += cfg.cost.c_g * N_t + cfg.cost.c_t * n_t
+        reward = closed(theta) if closed is not None else _mc_expected_reward(lm, theta, cfg, t)
         records.append(
             IterationRecord(
                 t=t,
                 n_t=n_t,
                 N_t=N_t,
                 theta_after=theta.copy(),
-                expected_reward_after=float(reward_of(theta, t)),
+                expected_reward_after=float(reward),
                 cum_cost=cum_cost,
             )
         )

@@ -100,9 +100,10 @@ class GaussianNll:
     """Gaussian negative log-likelihood, constant term dropped:
     loss(x, theta) = ||x - theta||^2 / (2*sigma2), grad = (theta - x)/sigma2.
 
-    Sampling and reward delegate to the Gaussian/exponential-reward
-    pair, so a GD-driven run over this model explores exactly the same
-    stochastic system as the MLE-driven one.
+    Sampling, reward and expected reward are those of the
+    Gaussian/exponential-reward pair in :mod:`gaussian`, bit for bit, so
+    a GD run over this model with eta = sigma2 is exactly the MLE run.
+    The parameters are validated once, at construction.
     """
 
     sigma2: float
@@ -110,11 +111,14 @@ class GaussianNll:
     d: int
 
     def __post_init__(self) -> None:
-        gaussian.ExpReward(self.kappa2)  # validates kappa2
-        if self.sigma2 <= 0:
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"sigma2 must be positive, got {self.sigma2!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        object.__setattr__(self, "_reward", gaussian.ExpReward(self.kappa2))
+        object.__setattr__(
+            self, "_r_star", gaussian.optimal_reward(self.d, self.sigma2, self.kappa2)
+        )
 
     def loss(self, x: np.ndarray, theta: np.ndarray) -> float:
         diff = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
@@ -126,15 +130,18 @@ class GaussianNll:
     def sample(
         self, theta: np.ndarray, rng: np.random.Generator, size: int | None = None
     ) -> np.ndarray:
-        return gaussian.sample(gaussian.GaussianModel(theta, self.sigma2), rng, size)
+        # gaussian.sample's expression, without a GaussianModel per call.
+        shape = self.d if size is None else (size, self.d)
+        return theta + math.sqrt(self.sigma2) * rng.standard_normal(shape)
 
     def reward(self, x: np.ndarray) -> float | np.ndarray:
-        return gaussian.reward(gaussian.ExpReward(self.kappa2), x)
+        return gaussian.reward(self._reward, x)
 
     def expected_reward(self, theta: np.ndarray) -> float:
-        return gaussian.expected_reward(
-            gaussian.GaussianModel(theta, self.sigma2), gaussian.ExpReward(self.kappa2)
-        )
+        # gaussian.expected_reward's expression; _r_star = (1+rho)^(-d/2).
+        theta = np.asarray(theta, dtype=np.float64)
+        norm2 = float(theta @ theta)
+        return self._r_star * math.exp(-norm2 / (2.0 * (self.sigma2 + self.kappa2)))
 
     def gd_step(self, theta: np.ndarray, D: np.ndarray, eta: float) -> np.ndarray:
         # (1-c)*theta + c*mean(D) with c = eta/sigma2 equals the averaged

@@ -2,10 +2,13 @@
 
 A policy fixes, in advance, how many selected samples ``n_t`` each
 iteration of the bootstrapping loop receives. Policy families are small
-frozen dataclasses; :func:`materialize` turns a family plus a horizon
-``T`` into a concrete integer :class:`Schedule`. The budget-matched
-constructors build the constant and linear schemes whose totals track a
-reference exponential scheme.
+frozen dataclasses, each declared once: its ``family`` name, its
+parameters (the dataclass fields, which are also its config keys) and
+its floored ``counts(T)``. :data:`FAMILIES` maps names to specs, and
+:func:`materialize` turns a spec plus a horizon ``T`` into a concrete
+integer :class:`Schedule`. The budget-matched families build the
+constant and linear schemes whose totals track a reference exponential
+scheme.
 
 Real-valued formulas are floored to integers. Flooring can produce a
 zero count, which would leave an iteration with an empty batch; such
@@ -14,9 +17,10 @@ entries are clamped to 1 and the schedule is flagged ``clamped``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Literal, Sequence, get_type_hints
 
 __all__ = [
     "Constant",
@@ -26,7 +30,11 @@ __all__ = [
     "BatchConstant",
     "BatchLinear",
     "BatchExponential",
+    "BudgetConstant",
+    "BudgetLinear",
     "PolicySpec",
+    "FAMILIES",
+    "spec_fields",
     "Schedule",
     "materialize",
     "budget_matched_constant",
@@ -47,100 +55,174 @@ def _check_positive(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Constant:
-    """n_t = n0 for every iteration."""
+class PolicySpec:
+    """Base of the policy families. A family declares its config name in
+    ``family``, its parameters as dataclass fields (int fields must be
+    integers >= 1, float fields positive finite reals) and its floored
+    per-iteration counts, which may be zero, in ``counts(T)``."""
 
-    n0: int
+    family: ClassVar[str]
 
     def __post_init__(self) -> None:
-        _check_positive_int("n0", self.n0)
+        for name, (kind, _) in spec_fields(type(self)).items():
+            if kind is int:
+                _check_positive_int(name, getattr(self, name))
+            elif kind is float:
+                _check_positive(name, getattr(self, name))
+
+    def counts(self, T: int) -> list[int]:
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class Constant(PolicySpec):
+    """n_t = n0 for every iteration."""
+
+    family: ClassVar[str] = "constant"
+    n0: int
+
+    def counts(self, T: int) -> list[int]:
+        return [self.n0] * T
+
+
+@dataclass(frozen=True)
+class Polynomial(PolicySpec):
     """n_t = n0 * (1+t)**alpha, floored."""
 
+    family: ClassVar[str] = "polynomial"
     n0: int
     alpha: float
 
-    def __post_init__(self) -> None:
-        _check_positive_int("n0", self.n0)
-        _check_positive("alpha", self.alpha)
+    def counts(self, T: int) -> list[int]:
+        return [math.floor(self.n0 * (1 + t) ** self.alpha) for t in range(T)]
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(PolicySpec):
     """n_t = n0 * (1+u)**t, floored."""
 
+    family: ClassVar[str] = "exponential"
     n0: int
     u: float
 
-    def __post_init__(self) -> None:
-        _check_positive_int("n0", self.n0)
-        _check_positive("u", self.u)
+    def counts(self, T: int) -> list[int]:
+        return [math.floor(self.n0 * (1 + self.u) ** t) for t in range(T)]
 
 
 @dataclass(frozen=True)
-class Explicit:
+class Explicit(PolicySpec):
     """A literal list of per-iteration counts."""
 
-    counts: tuple[int, ...]
+    family: ClassVar[str] = "explicit"
+    schedule: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if not self.counts:
+        object.__setattr__(self, "schedule", tuple(int(c) for c in self.schedule))
+        if not self.schedule:
             raise ValueError("Explicit policy needs a non-empty count list")
-        for c in self.counts:
+        for c in self.schedule:
             _check_positive_int("explicit count", c)
 
+    def counts(self, T: int) -> list[int]:
+        if len(self.schedule) != T:
+            raise ValueError(f"Explicit policy has {len(self.schedule)} entries but T={T}")
+        return list(self.schedule)
+
 
 @dataclass(frozen=True)
-class BatchConstant:
+class BatchConstant(PolicySpec):
     """n_t = floor(n) * B; counts are integer multiples of a batch size."""
 
+    family: ClassVar[str] = "batch_constant"
     n: float
     B: int
 
-    def __post_init__(self) -> None:
-        _check_positive("n", self.n)
-        _check_positive_int("B", self.B)
+    def counts(self, T: int) -> list[int]:
+        return [math.floor(self.n) * self.B] * T
 
 
 @dataclass(frozen=True)
-class BatchLinear:
+class BatchLinear(PolicySpec):
     """n_t = floor(n * (t+1)) * B."""
 
+    family: ClassVar[str] = "batch_linear"
     n: float
     B: int
 
-    def __post_init__(self) -> None:
-        _check_positive("n", self.n)
-        _check_positive_int("B", self.B)
+    def counts(self, T: int) -> list[int]:
+        return [math.floor(self.n * (t + 1)) * self.B for t in range(T)]
 
 
 @dataclass(frozen=True)
-class BatchExponential:
+class BatchExponential(PolicySpec):
     """n_t = floor(n * (1+u)**t) * B."""
 
+    family: ClassVar[str] = "batch_exponential"
     n: float
     u: float
     B: int
 
+    def counts(self, T: int) -> list[int]:
+        return [math.floor(self.n * (1 + self.u) ** t) * self.B for t in range(T)]
+
+
+def _exponential_total(n0: int, u: float, T: int) -> float:
+    # Pre-floor total of the reference exponential scheme.
+    return sum(n0 * (1 + u) ** k for k in range(T))
+
+
+@dataclass(frozen=True)
+class BudgetConstant(PolicySpec):
+    """Constant scheme whose per-iteration count is the mean of the
+    exponential scheme ``n0*(1+u)**t`` over the same horizon, floored."""
+
+    family: ClassVar[str] = "budget_constant"
+    n0: int
+    u: float
+
+    def counts(self, T: int) -> list[int]:
+        return [math.floor(_exponential_total(self.n0, self.u, T) / T)] * T
+
+
+@dataclass(frozen=True)
+class BudgetLinear(PolicySpec):
+    """Linearly growing scheme matched to the exponential scheme's total.
+
+    ``verbatim`` uses the T*(T-1) denominator as printed in the source
+    construction; its pre-floor total overshoots the exponential total
+    by a factor (T+1)/(T-1). ``exact`` uses T*(T+1), which makes the
+    pre-floor totals equal. ``verbatim`` requires T >= 2.
+    """
+
+    family: ClassVar[str] = "budget_linear"
+    n0: int
+    u: float
+    normalization: str = "verbatim"
+
     def __post_init__(self) -> None:
-        _check_positive("n", self.n)
-        _check_positive("u", self.u)
-        _check_positive_int("B", self.B)
+        super().__post_init__()
+        if self.normalization not in ("verbatim", "exact"):
+            raise ValueError(f"unknown normalization {self.normalization!r}")
+
+    def counts(self, T: int) -> list[int]:
+        if self.normalization == "verbatim" and T < 2:
+            raise ValueError("verbatim linear normalization needs T >= 2")
+        total = _exponential_total(self.n0, self.u, T)
+        denom = T * (T - 1) if self.normalization == "verbatim" else T * (T + 1)
+        return [math.floor(2 * (t + 1) / denom * total) for t in range(T)]
 
 
-PolicySpec = Union[
-    Constant,
-    Polynomial,
-    Exponential,
-    Explicit,
-    BatchConstant,
-    BatchLinear,
-    BatchExponential,
-]
+@functools.cache
+def spec_fields(spec: type[PolicySpec]) -> dict[str, tuple[type, bool]]:
+    """Parameters of a policy family: field name -> (type, required)."""
+    types = get_type_hints(spec)
+    return {f.name: (types[f.name], f.default is MISSING) for f in fields(spec)}
+
+
+# Config family name -> spec class; a family's config keys are its fields.
+FAMILIES: dict[str, type[PolicySpec]] = {
+    cls.family: cls for cls in PolicySpec.__subclasses__()
+}
 
 
 @dataclass(frozen=True)
@@ -180,49 +262,18 @@ def materialize(spec: PolicySpec, T: int) -> Schedule:
     """Evaluate a policy family over the horizon ``t = 0..T-1``.
 
     Real-valued families are floored entrywise, then clamped to >= 1.
-    Raises ``ValueError`` for T < 1 or an Explicit spec whose length is
-    not T.
+    Raises ``ValueError`` for T < 1 or a horizon the spec cannot fill
+    (an Explicit spec whose length is not T, a verbatim BudgetLinear
+    with T < 2).
     """
     _check_positive_int("T", T)
-    if isinstance(spec, Constant):
-        return Schedule((spec.n0,) * T, family_tag=f"constant(n0={spec.n0})")
-    if isinstance(spec, Polynomial):
-        raw = [math.floor(spec.n0 * (1 + t) ** spec.alpha) for t in range(T)]
-        return _clamp(raw, f"polynomial(n0={spec.n0},alpha={spec.alpha})")
-    if isinstance(spec, Exponential):
-        raw = [math.floor(spec.n0 * (1 + spec.u) ** t) for t in range(T)]
-        return _clamp(raw, f"exponential(n0={spec.n0},u={spec.u})")
-    if isinstance(spec, Explicit):
-        if len(spec.counts) != T:
-            raise ValueError(
-                f"Explicit policy has {len(spec.counts)} entries but T={T}"
-            )
-        return Schedule(spec.counts, family_tag="explicit")
-    if isinstance(spec, BatchConstant):
-        raw = [math.floor(spec.n) * spec.B] * T
-        return _clamp(raw, f"batch_constant(n={spec.n},B={spec.B})")
-    if isinstance(spec, BatchLinear):
-        raw = [math.floor(spec.n * (t + 1)) * spec.B for t in range(T)]
-        return _clamp(raw, f"batch_linear(n={spec.n},B={spec.B})")
-    if isinstance(spec, BatchExponential):
-        raw = [math.floor(spec.n * (1 + spec.u) ** t) * spec.B for t in range(T)]
-        return _clamp(raw, f"batch_exponential(n={spec.n},u={spec.u},B={spec.B})")
-    raise TypeError(f"unknown policy spec: {spec!r}")
-
-
-def _exponential_total(n0: int, u: float, T: int) -> float:
-    # Pre-floor total of the reference exponential scheme.
-    return sum(n0 * (1 + u) ** k for k in range(T))
+    params = ",".join(f"{f.name}={getattr(spec, f.name)}" for f in fields(spec))
+    return _clamp(spec.counts(T), f"{spec.family}({params})")
 
 
 def budget_matched_constant(n0: int, u: float, T: int) -> Schedule:
-    """Constant scheme whose per-iteration count is the mean of the
-    exponential scheme ``n0*(1+u)**t`` over the same horizon, floored."""
-    _check_positive_int("n0", n0)
-    _check_positive("u", u)
-    _check_positive_int("T", T)
-    value = math.floor(_exponential_total(n0, u, T) / T)
-    return _clamp([value] * T, f"budget_constant(n0={n0},u={u},T={T})")
+    """:class:`BudgetConstant` materialized over T iterations."""
+    return materialize(BudgetConstant(n0, u), T)
 
 
 def budget_matched_linear(
@@ -231,24 +282,8 @@ def budget_matched_linear(
     T: int,
     normalization: Literal["verbatim", "exact"] = "verbatim",
 ) -> Schedule:
-    """Linearly growing scheme matched to the exponential scheme's total.
-
-    ``verbatim`` uses the T*(T-1) denominator as printed in the source
-    construction; its pre-floor total overshoots the exponential total
-    by a factor (T+1)/(T-1). ``exact`` uses T*(T+1), which makes the
-    pre-floor totals equal. ``verbatim`` requires T >= 2.
-    """
-    _check_positive_int("n0", n0)
-    _check_positive("u", u)
-    _check_positive_int("T", T)
-    if normalization not in ("verbatim", "exact"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    if normalization == "verbatim" and T < 2:
-        raise ValueError("verbatim linear normalization needs T >= 2")
-    total = _exponential_total(n0, u, T)
-    denom = T * (T - 1) if normalization == "verbatim" else T * (T + 1)
-    raw = [math.floor(2 * (t + 1) / denom * total) for t in range(T)]
-    return _clamp(raw, f"budget_linear(n0={n0},u={u},T={T},{normalization})")
+    """:class:`BudgetLinear` materialized over T iterations."""
+    return materialize(BudgetLinear(n0, u, normalization), T)
 
 
 def total_selected(s: Schedule) -> int:

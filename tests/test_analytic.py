@@ -250,6 +250,13 @@ class TestCostCurve:
         )
         assert np.all(quad.cum_cost >= ratio.cum_cost - 1e-12)
 
+    @pytest.mark.parametrize("mode", ["ratio", "quadrature"])
+    def test_underflowing_reward_names_iteration(self, mode):
+        # E[r(theta0)] = (2/3) * exp(-7200/6) underflows to 0.0.
+        sched = materialize(Exponential(10, 0.5), 3)
+        with pytest.raises(ValueError, match="T=1"):
+            cost_curve(sched, np.array([60.0, 60.0]), 1.0, 2.0, TRAIN_ONLY, mode)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             cost_curve(Schedule((5,)), np.array([1.0]), 1.0, 2.0, TRAIN_ONLY, "exact")

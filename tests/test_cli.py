@@ -123,6 +123,12 @@ class TestAnalytic:
         assert (out / "exp_law.csv").exists()
         assert (out / "analytic_gap_vs_cost.svg").exists()
 
+    def test_underflowing_reward_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "far.cfg"
+        path.write_text(SMALL.replace("theta0 = 1.0, 1.0", "theta0 = 60.0, 60.0"))
+        assert main(["analytic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "T=1" in capsys.readouterr().err
+
     def test_law_detail_spot_value(self, tmp_path):
         text = SMALL.replace(
             "[policy exp]\nfamily = exponential\nn0 = 5\nu = 0.5",
@@ -254,3 +260,15 @@ class TestSweep:
             == 1
         )
         assert "numeric" in capsys.readouterr().err
+
+    def test_values_with_one_name_rejected(self, small_cfg, tmp_path, capsys):
+        # Both values format as "2", which names the point directory.
+        args = ["--axis", "model.kappa2", "--values", "2.0000001,2.0000002"]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
+        assert "repeat a point name" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integral_integer_axis_rejected(self, small_cfg, tmp_path, capsys):
+        args = ["--axis", "run.T", "--values", "2.7"]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
+        assert "integer" in capsys.readouterr().err

@@ -1,7 +1,14 @@
 """Config parsing, validation errors with line numbers, overrides."""
 
+from dataclasses import MISSING, fields
+from typing import get_type_hints
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iterboot import policy as pol
 
 from iterboot.config import (
     ConfigError,
@@ -183,6 +190,11 @@ class TestOverride:
         assert cfg.policies[0].params["n0"] == 20
         assert isinstance(cfg.policies[0].params["n0"], int)
 
+    @pytest.mark.parametrize("axis, value", [("run.T", 2.7), ("policy.exp.n0", 10.9)])
+    def test_integer_key_rejects_fraction(self, axis, value):
+        with pytest.raises(ConfigError, match="integer"):
+            apply_override(parse_config(TOY), axis, value)
+
     def test_non_numeric_axis_rejected(self):
         with pytest.raises(ConfigError, match="numeric"):
             apply_override(parse_config(TOY), "output.directory", 3.0)
@@ -194,3 +206,63 @@ class TestOverride:
     def test_malformed_axis(self):
         with pytest.raises(ConfigError, match="section.key"):
             apply_override(parse_config(TOY), "u", 3.0)
+
+
+def _field_values(kind, T):
+    if kind is int:
+        return st.integers(1, 40)
+    if kind is float:
+        return st.floats(0.05, 3.0)
+    if kind is str:  # the only string key is budget_linear's normalization
+        return st.sampled_from(["verbatim", "exact"])
+    assert kind == tuple[int, ...], kind
+    return st.lists(st.integers(1, 50), min_size=T, max_size=T).map(tuple)
+
+
+def _render(value):
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _one_policy_config(family, key_lines, T):
+    return "\n".join(
+        [
+            "spec_version = 1",
+            "[model]",
+            "sigma2 = 1.0",
+            "kappa2 = 2.0",
+            "theta0 = 1.0",
+            "[policy p]",
+            f"family = {family}",
+            *key_lines,
+            "[run]",
+            f"T = {T}",
+            "runs = 2",
+            "master_seed = 1",
+            "[cost]",
+            "c_g = 0.0",
+            "c_t = 1.0",
+        ]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(pol.FAMILIES)), T=st.integers(2, 6))
+def test_every_family_parses_to_its_spec(data, family, T):
+    # Keys and types are read from the spec dataclass itself, not
+    # through the registry helpers the parser uses.
+    spec_cls = pol.FAMILIES[family]
+    kinds = get_type_hints(spec_cls)
+    params = {
+        f.name: data.draw(_field_values(kinds[f.name], T), label=f.name)
+        for f in fields(spec_cls)
+    }
+    lines = [f"{key} = {_render(value)}" for key, value in params.items()]
+    cfg = parse_config(_one_policy_config(family, lines, T))
+    assert build_schedule(cfg.policies[0], T) == pol.materialize(spec_cls(**params), T)
+    for f in fields(spec_cls):
+        if f.default is MISSING:
+            kept = [line for line in lines if not line.startswith(f"{f.name} =")]
+            with pytest.raises(ConfigError, match="missing required key"):
+                parse_config(_one_policy_config(family, kept, T))

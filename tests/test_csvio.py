@@ -1,5 +1,7 @@
 """CSV schema, 9-significant-digit formatting, byte-exact round trips."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from iterboot.csvio import (
     read_agg_csv,
     run_trace_csv_text,
     write_agg_csv,
+    write_text_atomic,
 )
 from iterboot.engine import CostModel, RunConfig, monte_carlo, run
 from iterboot.policy import Schedule, materialize, Exponential
@@ -71,6 +74,36 @@ class TestRoundTrip:
         path = tmp_path / "exp_agg.csv"
         write_agg_csv(path, aggregate_rows("exp", small_agg))
         assert [p.name for p in tmp_path.iterdir()] == ["exp_agg.csv"]
+
+    def test_concurrent_writers_each_leave_a_complete_file(self, tmp_path):
+        path = tmp_path / "shared.csv"
+        texts = ["a" * 200_000 + "\n", "b" * 300_000 + "\n"]
+        start = threading.Barrier(2)
+        errors = []
+
+        def writer(text):
+            start.wait()
+            try:
+                for _ in range(50):
+                    write_text_atomic(path, text)
+                    assert path.read_text() in texts
+            except BaseException as exc:  # collected and re-checked below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert path.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.csv"]
+
+    def test_failed_rename_removes_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            write_text_atomic(tmp_path / "taken", "x\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 class TestAnalyticRows:

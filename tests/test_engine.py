@@ -25,6 +25,7 @@ from iterboot.gaussian import (
     ExpReward,
     GaussianModel,
     expected_reward,
+    mle_update,
     post_selection_params,
 )
 from iterboot.policy import Exponential, Schedule, materialize
@@ -169,6 +170,25 @@ class TestRun:
         for a, b in zip(mle.records, gd.records):
             assert np.array_equal(a.theta_after, b.theta_after)
             assert a.N_t == b.N_t
+
+    def test_mle_run_matches_gaussian_reference_bitwise(self):
+        # The run loop (GD at eta = sigma2 on the Gaussian NLL) replays
+        # selection and MLE updates written with the gaussian module.
+        sched = materialize(Exponential(10, 0.5), 8)
+        theta = np.array([1.0, -0.5])
+        cfg = RunConfig(
+            theta0=theta, schedule=sched, cost=CostModel(0.0, 1.0), seed=7, sigma2=2.5, kappa2=1.5
+        )
+        trace = run(cfg)
+        assert trace.status == COMPLETED
+        rng = np.random.default_rng(7)
+        rw = ExpReward(1.5)
+        for rec, n_t in zip(trace.records, sched.n, strict=True):
+            D, N_t = select_batch(GaussianModel(theta, 2.5), rw, n_t, 1000 * n_t, rng)
+            theta = mle_update(D)
+            assert rec.N_t == N_t
+            assert np.array_equal(rec.theta_after, theta)
+            assert rec.expected_reward_after == expected_reward(GaussianModel(theta, 2.5), rw)
 
     def test_gd_with_other_eta_differs(self):
         sched = materialize(Exponential(10, 0.5), 6)
