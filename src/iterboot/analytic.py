@@ -21,9 +21,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .engine import CostModel
 from .gaussian import ExpReward, GaussianModel, expected_reward, optimal_reward
-from .policy import Schedule
+from .policy import CostModel, Schedule
 
 __all__ = [
     "MarginalLaw",
@@ -74,7 +73,6 @@ class PolicyEvaluation:
     sigma2_T: np.ndarray
     n: tuple[int, ...]
     r_star: float
-    label: str = ""
 
 
 def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
@@ -156,7 +154,6 @@ def optimal_schedule(
         raise ValueError(f"T must be >= 1, got {T}")
     if C < T:
         raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
-    rho = sigma2 / kappa2
     continuous = continuous_optimum(C, T, sigma2, kappa2)
     floors = np.floor(continuous).astype(int)
     remainder = int(C - floors.sum())
@@ -178,11 +175,7 @@ def optimal_schedule(
                 f"bound {bound:.6g}; the schedule may not be optimal",
                 stacklevel=2,
             )
-    return Schedule(
-        tuple(int(v) for v in floors),
-        family_tag=f"optimal(C={C},T={T},rho={rho})",
-        clamped=clamped,
-    )
+    return Schedule(tuple(int(v) for v in floors), clamped=clamped)
 
 
 def brute_force_optimal(
@@ -212,11 +205,7 @@ def brute_force_optimal(
         comps = np.diff(bounds, axis=1)
     values = (w / comps).sum(axis=1)
     best = int(np.argmin(values))
-    schedule = Schedule(
-        tuple(int(v) for v in comps[best]),
-        family_tag=f"brute_force(C={C},T={T},rho={rho})",
-    )
-    return schedule, float(values[best])
+    return Schedule(tuple(int(v) for v in comps[best])), float(values[best])
 
 
 def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
@@ -253,7 +242,6 @@ def cost_curve(
     kappa2: float,
     cost: CostModel,
     n_t_expectation: Literal["ratio", "quadrature"] = "ratio",
-    label: str = "",
 ) -> PolicyEvaluation:
     """Analytic reward/gap/cost curves over prefixes of ``schedule``.
 
@@ -328,7 +316,6 @@ def cost_curve(
         sigma2_T=sig2s,
         n=tuple(ns),
         r_star=r_star,
-        label=label,
     )
 
 

@@ -75,7 +75,6 @@ def _run_config(cfg: ExperimentConfig, schedule) -> engine.RunConfig:
         seed=cfg.master_seed,
         sigma2=cfg.sigma2,
         kappa2=cfg.kappa2,
-        update=cfg.update,
         eta=cfg.eta,
         max_draws_per_iter=cfg.max_draws_per_iter,
         divergence_cap=cfg.divergence_cap,
@@ -127,9 +126,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         cfg = _apply_flag_overrides(load_config(args.config), args)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
-    if cfg.update == "gd" and cfg.eta is not None and cfg.eta != cfg.sigma2:
+    if cfg.eta not in (None, cfg.sigma2):
         return _fail(
-            "analytic curves hold for MLE updates only; update=gd needs eta == sigma2",
+            "analytic curves hold for MLE updates only; eta must be unset or equal sigma2",
             EXIT_VALIDATION,
         )
     out_dir = Path(cfg.out_dir)
@@ -139,9 +138,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     for p in cfg.policies:
         schedule = build_schedule(p, cfg.T)
         try:
-            ev = analytic.cost_curve(
-                schedule, cfg.theta0, cfg.sigma2, cfg.kappa2, cost, label=p.label
-            )
+            ev = analytic.cost_curve(schedule, cfg.theta0, cfg.sigma2, cfg.kappa2, cost)
         except ValueError as exc:
             return _fail(f"policy {p.label!r}: {exc}", EXIT_RUNTIME)
         write_agg_csv(out_dir / f"{p.label}_analytic.csv", analytic_rows(p.label, ev))
@@ -251,12 +248,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
         sim = {r.T: r for r in read_agg_csv(sim_path)}
         ana = {r.T: r for r in read_agg_csv(ana_path)}
-        ratios = [
-            abs(sim[T].mean_gap - ana[T].mean_gap) / sim[T].se_gap
-            for T in sorted(set(sim) & set(ana))
-            if sim[T].se_gap > 0
-        ]
-        label_worst = max(ratios) if ratios else 0.0
+        if {T: r.n_t for T, r in sim.items()} != {T: r.n_t for T, r in ana.items()}:
+            return _fail(
+                f"policy {p.label!r}: simulated and analytic rows differ in their T "
+                f"values or n_t (was one of them run with another config?)",
+                EXIT_VALIDATION,
+            )
+        zero_se = [T for T in sorted(sim) if sim[T].se_gap <= 0]
+        if zero_se:
+            return _fail(
+                f"policy {p.label!r}: simulated se_gap is 0 at T={zero_se[0]}, "
+                f"so the gap difference has no standard-error scale",
+                EXIT_RUNTIME,
+            )
+        label_worst = max(
+            (abs(sim[T].mean_gap - ana[T].mean_gap) / sim[T].se_gap for T in sim), default=0.0
+        )
         report[p.label] = label_worst
         worst = max(worst, label_worst)
     print(

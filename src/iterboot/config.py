@@ -18,6 +18,11 @@ errors can always name a line:
 
     [run] / [cost] / [output] sections follow the same key = value shape.
 
+In [run], ``eta`` (the gradient step) needs ``update = gd``; without it
+the step is eta = sigma2, the MLE update. Policy labels use only
+letters, digits, ``_``, ``.`` and ``-``, since they name output files
+and fill CSV fields.
+
 Policy sections are one per labeled policy; the ``family`` key selects
 one of :data:`policy.FAMILIES` (constant, polynomial, exponential,
 explicit, batch_constant, batch_linear, batch_exponential,
@@ -30,6 +35,7 @@ without a default are required. The explicit family's key is
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -86,7 +92,6 @@ class ExperimentConfig:
     T: int
     runs: int
     master_seed: int
-    update: str = "mle"
     eta: float | None = None
     max_draws_per_iter: int | None = None
     divergence_cap: float = 1e6
@@ -103,6 +108,9 @@ class ExperimentConfig:
 
 # Config key -> type, for the keys that set an ExperimentConfig field.
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+# Policy labels name output files and fill CSV fields unquoted.
+_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass
@@ -173,9 +181,12 @@ def _as_bool(entry: _Entry, key: str) -> bool:
 
 def _as_float_list(entry: _Entry, key: str) -> list[float]:
     try:
-        return [float(tok) for tok in entry.value.split(",") if tok.strip()]
+        values = [float(tok) for tok in entry.value.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"line {entry.line}: {key} must be comma-separated numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"line {entry.line}: {key} must be finite")
+    return values
 
 
 def _as_int_list(entry: _Entry, key: str) -> list[int]:
@@ -233,6 +244,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if len(tokens) != 2 or not tokens[1].strip():
             raise ConfigError(f"line {lineno}: policy section needs a label: [policy LABEL]")
         label = tokens[1].strip()
+        if not _LABEL.fullmatch(label):
+            raise ConfigError(
+                f"line {lineno}: policy label {label!r} may use only letters, digits, "
+                f"'_', '.' and '-'"
+            )
         if label in labels:
             raise ConfigError(f"line {lineno}: duplicate policy label {label!r}")
         labels.add(label)
@@ -263,6 +279,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # [run], [cost] and [output] keys set the ExperimentConfig field of
     # the same name (``directory`` sets ``out_dir``), parsed by its type.
+    # ``update`` sets no field: it only gates ``eta``.
+    runsec = sections["run"]
+    update = runsec.pop("update", _Entry("mle", 0))
+    if update.value not in ("mle", "gd"):
+        raise ConfigError(f"line {update.line}: update must be 'mle' or 'gd'")
+    if "eta" in runsec and update.value != "gd":
+        raise ConfigError(
+            f"line {runsec['eta'].line}: eta sets the gradient step and needs update = gd "
+            f"(without it the step is eta = sigma2, the MLE update)"
+        )
     scalars: dict[str, object] = {}
     required = {"run": ("T", "runs", "master_seed"), "cost": ("c_g", "c_t"), "output": ()}
     for section, keys in required.items():
@@ -273,16 +299,15 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, entry in entries.items():
             field = "out_dir" if key == "directory" else key
             scalars[field] = _KEY_PARSERS[_FIELD_TYPES[field]](entry, key)
-    runsec = sections["run"]
     if scalars["T"] < 1:
         raise ConfigError(f"line {runsec['T'].line}: T must be >= 1")
+    if "eta" in runsec and scalars["eta"] <= 0:
+        raise ConfigError(f"line {runsec['eta'].line}: eta must be positive")
     if scalars["runs"] < 2:
         raise ConfigError(
             f"line {runsec['runs'].line}: runs must be >= 2 (standard errors need at "
             f"least two completed runs)"
         )
-    if scalars.get("update", "mle") not in ("mle", "gd"):
-        raise ConfigError(f"line {runsec['update'].line}: update must be 'mle' or 'gd'")
 
     cfg = ExperimentConfig(
         sigma2=sigma2, kappa2=kappa2, theta0=theta0, policies=tuple(policies), **scalars

@@ -1,7 +1,9 @@
 """CSV emission and parsing for aggregate curves.
 
 One fixed column order is shared by simulation aggregates and analytic
-curves so the two overlay directly. Floats are rendered with 9
+curves so the two overlay directly. The fields of :class:`AggRow` are
+the schema: their names and order give the columns, their types how
+each cell is rendered and parsed. Floats are rendered with 9
 significant digits; integer columns as plain integers. Emission is
 atomic (write to a temp file, then rename) and byte-stable: parsing an
 emitted file and re-emitting it reproduces identical bytes.
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 from .analytic import PolicyEvaluation
 from .engine import AggregateTrace
@@ -31,26 +33,11 @@ __all__ = [
     "run_trace_csv_text",
 ]
 
-AGG_COLUMNS = (
-    "policy_label",
-    "source",
-    "T",
-    "n_t",
-    "mean_N_t",
-    "mean_gap",
-    "se_gap",
-    "mean_cum_cost",
-    "se_cum_cost",
-    "runs_completed",
-    "runs_diverged",
-)
-
-_INT_COLUMNS = {"T", "n_t", "runs_completed", "runs_diverged"}
-_FLOAT_COLUMNS = {"mean_N_t", "mean_gap", "se_gap", "mean_cum_cost", "se_cum_cost"}
-
 
 @dataclass(frozen=True)
 class AggRow:
+    """One aggregate CSV row; the fields, in order, are the columns."""
+
     policy_label: str
     source: str  # "sim" or "analytic"
     T: int
@@ -67,6 +54,11 @@ class AggRow:
 def format_float(x: float) -> str:
     """Render with 9 significant digits; stable under parse/re-render."""
     return format(float(x), ".9g")
+
+
+AGG_COLUMNS = tuple(f.name for f in fields(AggRow))
+_COLUMN_TYPES = tuple(get_type_hints(AggRow)[name] for name in AGG_COLUMNS)
+_RENDER = {str: str, int: lambda v: str(int(v)), float: format_float}
 
 
 def aggregate_rows(label: str, agg: AggregateTrace) -> list[AggRow]:
@@ -111,16 +103,7 @@ def analytic_rows(label: str, ev: PolicyEvaluation) -> list[AggRow]:
 
 
 def _render(row: AggRow) -> list[str]:
-    out = []
-    for col in AGG_COLUMNS:
-        v = getattr(row, col)
-        if col in _INT_COLUMNS:
-            out.append(str(int(v)))
-        elif col in _FLOAT_COLUMNS:
-            out.append(format_float(v))
-        else:
-            out.append(str(v))
-    return out
+    return [_RENDER[kind](getattr(row, col)) for col, kind in zip(AGG_COLUMNS, _COLUMN_TYPES)]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -158,22 +141,12 @@ def read_agg_csv(path: str | Path) -> list[AggRow]:
         for rec in reader:
             if not rec:
                 continue
-            data = dict(zip(AGG_COLUMNS, rec))
-            rows.append(
-                AggRow(
-                    policy_label=data["policy_label"],
-                    source=data["source"],
-                    T=int(data["T"]),
-                    n_t=int(data["n_t"]),
-                    mean_N_t=float(data["mean_N_t"]),
-                    mean_gap=float(data["mean_gap"]),
-                    se_gap=float(data["se_gap"]),
-                    mean_cum_cost=float(data["mean_cum_cost"]),
-                    se_cum_cost=float(data["se_cum_cost"]),
-                    runs_completed=int(data["runs_completed"]),
-                    runs_diverged=int(data["runs_diverged"]),
+            if len(rec) != len(AGG_COLUMNS):
+                raise ValueError(
+                    f"line {reader.line_num} of {path} has {len(rec)} fields, "
+                    f"expected {len(AGG_COLUMNS)}"
                 )
-            )
+            rows.append(AggRow(*(kind(cell) for kind, cell in zip(_COLUMN_TYPES, rec))))
     return rows
 
 

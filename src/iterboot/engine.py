@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from . import gaussian
 from .gdmodel import DivergenceError, GdUpdater, LossModel, gaussian_nll, gd_update
-from .policy import Schedule
+from .policy import CostModel, Schedule
 
 __all__ = [
     "COMPLETED",
@@ -68,20 +68,6 @@ class DrawCapExceeded(RuntimeError):
         self.drawn = drawn
         self.accepted = accepted
         self.needed = needed
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-sample generation and training cost coefficients."""
-
-    c_g: float
-    c_t: float
-
-    def __post_init__(self) -> None:
-        if self.c_g < 0 or self.c_t < 0:
-            raise ValueError("cost coefficients must be non-negative")
-        if self.c_g + self.c_t <= 0:
-            raise ValueError("at least one cost coefficient must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,8 +124,9 @@ class RunConfig:
     is the Gaussian/exponential-reward pair (:func:`gaussian_nll`) built
     from ``sigma2``, ``kappa2`` and ``theta0``; a custom
     :class:`LossModel` supplies its own sampling/reward. Every run is
-    updated by gradient descent; ``update = "mle"`` is the step with
-    eta = sigma2, which is exactly the MLE mean update.
+    updated by gradient descent with step ``eta``; ``eta = None`` means
+    eta = sigma2, which for the Gaussian pair is exactly the MLE mean
+    update. A custom loss model needs ``eta`` or ``sigma2``.
 
     ``max_draws_per_iter`` bounds generation per iteration (default
     1000 * n_t); ``divergence_cap`` bounds ||theta|| before a run is
@@ -154,7 +141,6 @@ class RunConfig:
     seed: int
     sigma2: float | None = None
     kappa2: float | None = None
-    update: Literal["mle", "gd"] = "mle"
     eta: float | None = None
     loss_model: LossModel | None = None
     r_star: float | None = None
@@ -166,15 +152,11 @@ class RunConfig:
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=np.float64))
         if not np.all(np.isfinite(self.theta0)):
             raise ValueError("theta0 must be finite")
-        if self.update not in ("mle", "gd"):
-            raise ValueError(f"unknown update rule {self.update!r}")
         if self.loss_model is None:
             if self.sigma2 is None or self.kappa2 is None:
                 raise ValueError("sigma2 and kappa2 are required without a loss_model")
-        elif self.update == "mle":
-            raise ValueError("MLE updates require the Gaussian model; use update='gd'")
         elif self.eta is None and self.sigma2 is None:
-            raise ValueError("eta is required for a custom loss model")
+            raise ValueError("eta or sigma2 is required for a custom loss model")
         if self.max_draws_per_iter is not None:
             biggest = max(self.schedule.n)
             if self.max_draws_per_iter < biggest:
@@ -277,7 +259,7 @@ def run(cfg: RunConfig) -> RunTrace:
     if lm is None:
         lm = gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
-    updater = GdUpdater(cfg.eta if cfg.update == "gd" and cfg.eta is not None else cfg.sigma2)
+    updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
     sample_fn = lambda k: lm.sample(theta, rng, k)  # noqa: E731  (reads the current theta)
 

@@ -13,6 +13,8 @@ scheme.
 Real-valued formulas are floored to integers. Flooring can produce a
 zero count, which would leave an iteration with an empty batch; such
 entries are clamped to 1 and the schedule is flagged ``clamped``.
+:class:`CostModel` prices the generated and the selected samples of a
+schedule.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "FAMILIES",
     "spec_fields",
     "Schedule",
+    "CostModel",
     "materialize",
     "budget_matched_constant",
     "budget_matched_linear",
@@ -117,7 +120,10 @@ class Explicit(PolicySpec):
     schedule: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schedule", tuple(int(c) for c in self.schedule))
+        counts = tuple(int(c) for c in self.schedule)
+        if counts != tuple(self.schedule):
+            raise ValueError(f"explicit counts must be integral, got {list(self.schedule)}")
+        object.__setattr__(self, "schedule", counts)
         if not self.schedule:
             raise ValueError("Explicit policy needs a non-empty count list")
         for c in self.schedule:
@@ -233,14 +239,11 @@ class Schedule:
     ----------
     n : tuple of int
         Selected-sample counts, one per iteration; every entry >= 1.
-    family_tag : str
-        Provenance of construction (e.g. ``"exponential(n0=10,u=0.5)"``).
     clamped : bool
         True when flooring produced a zero that was clamped to 1.
     """
 
     n: tuple[int, ...]
-    family_tag: str = "explicit"
     clamped: bool = False
 
     def __post_init__(self) -> None:
@@ -253,9 +256,23 @@ class Schedule:
         return len(self.n)
 
 
-def _clamp(raw: Sequence[int], tag: str) -> Schedule:
+@dataclass(frozen=True)
+class CostModel:
+    """Per-sample generation and training cost coefficients."""
+
+    c_g: float
+    c_t: float
+
+    def __post_init__(self) -> None:
+        if self.c_g < 0 or self.c_t < 0:
+            raise ValueError("cost coefficients must be non-negative")
+        if self.c_g + self.c_t <= 0:
+            raise ValueError("at least one cost coefficient must be positive")
+
+
+def _clamp(raw: Sequence[int]) -> Schedule:
     clamped = any(v < 1 for v in raw)
-    return Schedule(tuple(max(1, int(v)) for v in raw), family_tag=tag, clamped=clamped)
+    return Schedule(tuple(max(1, int(v)) for v in raw), clamped=clamped)
 
 
 def materialize(spec: PolicySpec, T: int) -> Schedule:
@@ -267,8 +284,7 @@ def materialize(spec: PolicySpec, T: int) -> Schedule:
     with T < 2).
     """
     _check_positive_int("T", T)
-    params = ",".join(f"{f.name}={getattr(spec, f.name)}" for f in fields(spec))
-    return _clamp(spec.counts(T), f"{spec.family}({params})")
+    return _clamp(spec.counts(T))
 
 
 def budget_matched_constant(n0: int, u: float, T: int) -> Schedule:

@@ -2,7 +2,7 @@
 
 Drawn by hand so the output is hermetic and byte-deterministic: no
 timestamps, fixed float formatting, fixed palette. The gap axis is
-logarithmic by default, matching how geometric convergence is read off
+logarithmic, matching how geometric convergence is read off
 the curves. Each series gets a polyline plus a shaded standard-error
 band.
 """
@@ -64,7 +64,6 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
 def render_gap_vs_cost(
     series: Sequence[Series],
     title: str = "gap to optimal reward vs cumulative cost",
-    log_gap: bool = True,
 ) -> str:
     """Render curves to an SVG document string."""
     if not series:
@@ -83,7 +82,7 @@ def render_gap_vs_cost(
     all_y = clamp_y(ys)
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if y_hi <= y_lo:
-        y_hi = y_lo * 10.0 if log_gap else y_lo + 1.0
+        y_hi = y_lo * 10.0
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -91,21 +90,14 @@ def render_gap_vs_cost(
     def px(v: float) -> float:
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    if log_gap:
-        ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
-        if ly_hi <= ly_lo:
-            ly_hi = ly_lo + 1.0
+    ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
+    if ly_hi <= ly_lo:
+        ly_hi = ly_lo + 1.0
 
-        def py(v: float) -> float:
-            return _MARGIN_T + (ly_hi - math.log10(v)) / (ly_hi - ly_lo) * plot_h
+    def py(v: float) -> float:
+        return _MARGIN_T + (ly_hi - math.log10(v)) / (ly_hi - ly_lo) * plot_h
 
-        y_ticks = [t for t in _decade_ticks(y_lo, y_hi) if y_lo <= t <= y_hi] or [y_lo, y_hi]
-    else:
-
-        def py(v: float) -> float:
-            return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
-
-        y_ticks = _nice_linear_ticks(y_lo, y_hi)
+    y_ticks = [t for t in _decade_ticks(y_lo, y_hi) if y_lo <= t <= y_hi] or [y_lo, y_hi]
 
     parts: list[str] = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')

@@ -74,7 +74,7 @@ def toy():
             kappa2=KAPPA2,
         )
         sims[label] = monte_carlo(cfg, 1000)
-        anas[label] = cost_curve(sched, theta0, SIGMA2, KAPPA2, TRAIN_ONLY, label=label)
+        anas[label] = cost_curve(sched, theta0, SIGMA2, KAPPA2, TRAIN_ONLY)
     return schedules, sims, anas
 
 
@@ -255,8 +255,8 @@ def test_criterion_7_gd_equals_mle():
             theta0=np.array([1.0, 1.0]), schedule=sched, cost=TRAIN_ONLY,
             seed=seed, sigma2=SIGMA2, kappa2=KAPPA2,
         )
-        mle = run(RunConfig(update="mle", **base))
-        gd = run(RunConfig(update="gd", eta=SIGMA2, **base))
+        mle = run(RunConfig(**base))
+        gd = run(RunConfig(eta=SIGMA2, **base))
         same = all(
             np.array_equal(a.theta_after, b.theta_after) and a.N_t == b.N_t
             for a, b in zip(mle.records, gd.records)

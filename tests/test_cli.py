@@ -1,11 +1,12 @@
 """End-to-end CLI behavior: subcommands, files, determinism, exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from iterboot.cli import main
-from iterboot.csvio import read_agg_csv
+from iterboot.csvio import read_agg_csv, write_agg_csv
 
 SMALL = """\
 spec_version = 1
@@ -103,6 +104,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "runs must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("theta0 = 1.0, 1.0", "theta0 = nan, 1.0"), ("[policy const]", "[policy con,stant]")],
+    )
+    def test_bad_input_is_validation_error_with_line(self, tmp_path, capsys, old, new):
+        text = SMALL.replace(old, new)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"line {text.splitlines().index(new) + 1}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_all_runs_failing_is_runtime_error(self, tmp_path, capsys):
         text = SMALL.replace("theta0 = 1.0, 1.0", "theta0 = 60.0, 60.0").replace(
             "master_seed = 31416", "master_seed = 31416\nmax_draws_per_iter = 50"
@@ -163,6 +176,31 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         assert set(report["max_abs_gap_diff_over_se"]) == {"exp", "const"}
         assert report["overall"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("T = 5", "T = 6"), ("n0 = 5\nu = 0.5\n\n[policy const]", "n0 = 6\nu = 0.5\n\n[policy const]")],
+    )
+    def test_other_horizon_or_counts_rejected(self, small_cfg, tmp_path, capsys, old, new):
+        other = tmp_path / "other.cfg"
+        other.write_text(SMALL.replace(old, new))
+        assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0
+        assert main(["analytic", *out_args(other, tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
+        assert "policy 'exp'" in capsys.readouterr().err
+
+    def test_zero_standard_error_is_runtime_error(self, small_cfg, tmp_path, capsys):
+        assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0
+        assert main(["analytic", *out_args(small_cfg, tmp_path)]) == 0
+        path = tmp_path / "out" / "const_agg.csv"
+        rows = read_agg_csv(path)
+        rows[2] = replace(rows[2], se_gap=0.0)
+        write_agg_csv(path, rows)
+        capsys.readouterr()
+        assert main(["compare", *out_args(small_cfg, tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "policy 'const'" in err and "T=3" in err
 
     def test_missing_inputs_rejected(self, small_cfg, tmp_path, capsys):
         assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
@@ -244,6 +282,18 @@ class TestSweep:
         lines = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()[1:]
         gaps = [float(line.split(",")[4]) for line in lines]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_eta_axis_sets_the_step(self, tmp_path):
+        # An MLE config: each swept eta replaces the step eta = sigma2.
+        path = tmp_path / "mle.cfg"
+        path.write_text(SMALL.replace("master_seed = 31416", "master_seed = 31416\nupdate = mle"))
+        out = tmp_path / "out"
+        args = ["--axis", "run.eta", "--values", "0.3,0.6", "--no-svg"]
+        assert main(["sweep", "--config", str(path), "--out", str(out), *args]) == 0
+        rows = [line.split(",") for line in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+        gaps = {(row[1], row[2]): row[4] for row in rows}
+        for label in ("exp", "const"):
+            assert gaps["0.3", label] != gaps["0.6", label]
 
     def test_empty_values_rejected(self, small_cfg, tmp_path, capsys):
         assert (

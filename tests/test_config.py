@@ -66,7 +66,7 @@ class TestParse:
         assert np.array_equal(cfg.theta0, np.array([1.0, 1.0]))
         assert [p.label for p in cfg.policies] == ["exp", "const", "linear"]
         assert cfg.T == 15 and cfg.runs == 1000
-        assert cfg.update == "mle" and cfg.eta is None
+        assert cfg.eta is None
 
     def test_schedules_materialize(self):
         cfg = parse_config(TOY)
@@ -147,6 +147,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("update", ["", "update = mle\n"])
+    def test_eta_needs_gd_update(self, update):
+        text = TOY.replace("master_seed = 20240817\n", f"master_seed = 20240817\n{update}eta = 0.5\n")
+        line = text.splitlines().index("eta = 0.5") + 1
+        with pytest.raises(ConfigError, match=rf"line {line}: eta .*needs update = gd"):
+            parse_config(text)
+
+    def test_non_positive_eta_names_line(self):
+        text = TOY.replace("master_seed = 20240817\n", "master_seed = 20240817\nupdate = gd\neta = -0.5\n")
+        line = text.splitlines().index("eta = -0.5") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: eta must be positive"):
+            parse_config(text)
+
+    def test_non_finite_theta0_names_line(self):
+        with pytest.raises(ConfigError, match="line 7: theta0 must be finite"):
+            parse_config(TOY.replace("theta0 = 1.0, 1.0", "theta0 = nan, 1.0"))
+
+    @pytest.mark.parametrize("label", ["con,stant", "a/b", 'say"hi', "two words"])
+    def test_unsafe_label_names_line(self, label):
+        text = TOY.replace("[policy const]", f"[policy {label}]")
+        line = text.splitlines().index(f"[policy {label}]") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: policy label"):
+            parse_config(text)
+
     def test_explicit_length_must_match_horizon(self):
         text = TOY.replace(
             "family = exponential\nn0 = 10\nu = 0.5", "family = explicit\nschedule = 4, 5, 6"
@@ -156,7 +180,7 @@ class TestValidation:
 
     def test_gd_update_accepted(self):
         cfg = parse_config(TOY.replace("master_seed = 20240817", "master_seed = 1\nupdate = gd\neta = 0.5"))
-        assert cfg.update == "gd" and cfg.eta == 0.5
+        assert cfg.eta == 0.5
 
 
 class TestLoad(object):

@@ -1,13 +1,19 @@
 """CSV schema, 9-significant-digit formatting, byte-exact round trips."""
 
+import tempfile
 import threading
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterboot.analytic import cost_curve
 from iterboot.csvio import (
     AGG_COLUMNS,
+    AggRow,
     aggregate_rows,
     analytic_rows,
     format_float,
@@ -70,6 +76,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="header"):
             read_agg_csv(path)
 
+    def test_row_with_extra_field_rejected(self, small_agg, tmp_path):
+        path = tmp_path / "x.csv"
+        write_agg_csv(path, aggregate_rows("con,stant", small_agg))
+        with pytest.raises(ValueError, match="line 2 .* has 12 fields"):
+            read_agg_csv(path)
+
     def test_no_temp_file_left_behind(self, small_agg, tmp_path):
         path = tmp_path / "exp_agg.csv"
         write_agg_csv(path, aggregate_rows("exp", small_agg))
@@ -106,11 +118,29 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+# One strategy per AggRow field type; labels from the accepted label set.
+_CELLS = {
+    str: st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True),
+    int: st.integers(),
+    float: st.floats(),
+}
+_AGG_ROWS = st.builds(AggRow, *(_CELLS[kind] for kind in get_type_hints(AggRow).values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_AGG_ROWS, max_size=6))
+def test_write_read_write_is_byte_identical(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_agg_csv(path, rows)
+        first = path.read_bytes()
+        write_agg_csv(path, read_agg_csv(path))
+        assert path.read_bytes() == first
+
+
 class TestAnalyticRows:
     def test_same_schema_and_source_column(self, tmp_path):
-        ev = cost_curve(
-            Schedule((10, 10)), np.array([1.0]), 1.0, 2.0, CostModel(0.0, 1.0), label="two"
-        )
+        ev = cost_curve(Schedule((10, 10)), np.array([1.0]), 1.0, 2.0, CostModel(0.0, 1.0))
         rows = analytic_rows("two", ev)
         assert all(r.source == "analytic" for r in rows)
         assert all(r.se_gap == 0.0 for r in rows)
@@ -120,9 +150,7 @@ class TestAnalyticRows:
         assert [r.T for r in back] == [1, 2]
 
     def test_law_detail_contains_sigma2(self):
-        ev = cost_curve(
-            Schedule((10, 10)), np.array([1.0]), 1.0, 2.0, CostModel(0.0, 1.0), label="two"
-        )
+        ev = cost_curve(Schedule((10, 10)), np.array([1.0]), 1.0, 2.0, CostModel(0.0, 1.0))
         text = law_csv_text("two", ev)
         assert "0.0962962963" in text  # sigma2_T at T=2
 

@@ -164,8 +164,8 @@ class TestRun:
 
     def test_gd_equals_mle_trajectory_bitwise(self):
         sched = materialize(Exponential(10, 0.5), 10)
-        mle = run(toy_config(sched, seed=99, update="mle"))
-        gd = run(toy_config(sched, seed=99, update="gd", eta=1.0))
+        mle = run(toy_config(sched, seed=99))
+        gd = run(toy_config(sched, seed=99, eta=1.0))
         assert mle.status == gd.status == COMPLETED
         for a, b in zip(mle.records, gd.records):
             assert np.array_equal(a.theta_after, b.theta_after)
@@ -192,8 +192,8 @@ class TestRun:
 
     def test_gd_with_other_eta_differs(self):
         sched = materialize(Exponential(10, 0.5), 6)
-        mle = run(toy_config(sched, seed=99, update="mle"))
-        gd = run(toy_config(sched, seed=99, update="gd", eta=0.5))
+        mle = run(toy_config(sched, seed=99))
+        gd = run(toy_config(sched, seed=99, eta=0.5))
         assert not np.array_equal(mle.records[-1].theta_after, gd.records[-1].theta_after)
 
 
@@ -223,7 +223,6 @@ class TestDivergenceHandling:
             schedule=Schedule((5, 5, 5)),
             cost=CostModel(0.0, 1.0),
             seed=1,
-            update="gd",
             eta=1.0,
             loss_model=ExplodingModel(),
             r_star=1.0,
@@ -233,14 +232,13 @@ class TestDivergenceHandling:
         assert trace.status == DIVERGED
         assert len(trace.records) < 3
 
-    def test_custom_model_requires_gd(self):
-        with pytest.raises(ValueError):
+    def test_custom_model_requires_eta_or_sigma2(self):
+        with pytest.raises(ValueError, match="eta or sigma2"):
             RunConfig(
                 theta0=np.array([0.0]),
                 schedule=Schedule((5,)),
                 cost=CostModel(0.0, 1.0),
                 seed=1,
-                update="mle",
                 loss_model=ExplodingModel(),
             )
 
@@ -351,7 +349,6 @@ class TestMonteCarlo:
             schedule=Schedule((3,)),
             cost=CostModel(0.0, 1.0),
             seed=123,
-            update="gd",
             eta=1.0,
             loss_model=SometimesDiverges(),
             r_star=1.0,

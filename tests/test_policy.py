@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,11 @@ class TestMaterialize:
 
     def test_explicit_roundtrip(self):
         assert materialize(Explicit([3, 1, 4]), 3).n == (3, 1, 4)
+
+    def test_explicit_rejects_non_integral_counts(self):
+        with pytest.raises(ValueError, match="integral"):
+            Explicit([2.7, 3])
+        assert materialize(Explicit([np.int64(2), 3.0]), 2).n == (2, 3)
 
     def test_explicit_length_mismatch(self):
         with pytest.raises(ValueError, match="entries but T"):

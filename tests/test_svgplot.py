@@ -33,12 +33,8 @@ class TestRender:
         assert "date" not in svg.lower()
 
     def test_log_scale_orders_decades(self):
-        svg = render_gap_vs_cost(demo_series(), log_gap=True)
+        svg = render_gap_vs_cost(demo_series())
         assert ">0.01<" in svg or ">0.1<" in svg
-
-    def test_linear_scale_mode(self):
-        svg = render_gap_vs_cost(demo_series(), log_gap=False)
-        assert svg.count("<polyline") == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
