@@ -18,6 +18,7 @@ state flows through flags and the config file; no environment variables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -82,17 +83,27 @@ def _run_config(cfg: ExperimentConfig, schedule) -> engine.RunConfig:
     )
 
 
-def _simulate_into(cfg: ExperimentConfig, out_dir: Path, workers: int, traces: int = 0) -> dict:
-    """Run every configured policy; returns the status summary. The same
-    master seed drives every policy (common random numbers), which only
-    sharpens cross-policy comparisons."""
+def _pool(workers: int):
+    """A context giving the command's one process pool, started through
+    ``engine.ProcessPoolExecutor``, or ``None`` when it runs serially."""
+    if workers > 1:
+        return engine.ProcessPoolExecutor(max_workers=workers)
+    return contextlib.nullcontext()
+
+
+def _simulate_into(
+    cfg: ExperimentConfig, out_dir: Path, workers: int, pool, traces: int = 0
+) -> dict:
+    """Run every configured policy, on ``pool`` when it is not None;
+    returns the status summary. The same master seed drives every policy
+    (common random numbers), which only sharpens cross-policy comparisons."""
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, dict[str, int]] = {}
     series = []
     for p in cfg.policies:
         schedule = build_schedule(p, cfg.T)
         run_cfg = _run_config(cfg, schedule)
-        agg = engine.monte_carlo(run_cfg, cfg.runs, workers=workers)
+        agg = engine.monte_carlo(run_cfg, cfg.runs, workers=workers, executor=pool)
         write_agg_csv(out_dir / f"{p.label}_agg.csv", aggregate_rows(p.label, agg))
         for i in range(min(traces, cfg.runs)):
             trace = engine.run(replace(run_cfg, seed=engine.run_seed(cfg.master_seed, i)))
@@ -114,7 +125,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     try:
-        summary = _simulate_into(cfg, Path(cfg.out_dir), args.workers, traces=args.traces)
+        with _pool(args.workers) as pool:
+            summary = _simulate_into(cfg, Path(cfg.out_dir), args.workers, pool, args.traces)
     except (RuntimeError, ValueError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     print(json.dumps({"command": "simulate", "out": cfg.out_dir, "status": summary}, indent=2))
@@ -203,24 +215,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     axis_slug = args.axis.replace(".", "_")
     summary_lines = ["axis,value,policy_label,final_T,mean_gap,se_gap"]
     try:
-        for value, sub_cfg in zip(values, swept):
-            sub_dir = base / f"sweep_{axis_slug}_{value:g}"
-            _simulate_into(sub_cfg, sub_dir, args.workers)
-            for p in sub_cfg.policies:
-                rows = read_agg_csv(sub_dir / f"{p.label}_agg.csv")
-                final = max(rows, key=lambda r: r.T)
-                summary_lines.append(
-                    ",".join(
-                        [
-                            args.axis,
-                            f"{value:g}",
-                            p.label,
-                            str(final.T),
-                            format_float(final.mean_gap),
-                            format_float(final.se_gap),
-                        ]
+        with _pool(args.workers) as pool:
+            for value, sub_cfg in zip(values, swept):
+                sub_dir = base / f"sweep_{axis_slug}_{value:g}"
+                _simulate_into(sub_cfg, sub_dir, args.workers, pool)
+                for p in sub_cfg.policies:
+                    rows = read_agg_csv(sub_dir / f"{p.label}_agg.csv")
+                    final = max(rows, key=lambda r: r.T)
+                    summary_lines.append(
+                        ",".join(
+                            [
+                                args.axis,
+                                f"{value:g}",
+                                p.label,
+                                str(final.T),
+                                format_float(final.mean_gap),
+                                format_float(final.se_gap),
+                            ]
+                        )
                     )
-                )
     except (RuntimeError, ValueError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     base.mkdir(parents=True, exist_ok=True)

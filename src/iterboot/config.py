@@ -308,6 +308,11 @@ def parse_config(text: str) -> ExperimentConfig:
             f"line {runsec['runs'].line}: runs must be >= 2 (standard errors need at "
             f"least two completed runs)"
         )
+    if "divergence_cap" in runsec and scalars["divergence_cap"] <= 0:
+        raise ConfigError(f"line {runsec['divergence_cap'].line}: divergence_cap must be positive")
+    output = sections.get("output", {})
+    if "eval_samples" in output and scalars["eval_samples"] < 1:
+        raise ConfigError(f"line {output['eval_samples'].line}: eval_samples must be >= 1")
 
     cfg = ExperimentConfig(
         sigma2=sigma2, kappa2=kappa2, theta0=theta0, policies=tuple(policies), **scalars
@@ -315,7 +320,13 @@ def parse_config(text: str) -> ExperimentConfig:
     # Materialize every policy once now so family/parameter problems
     # surface as config errors, not later runtime ones.
     for p in cfg.policies:
-        build_schedule(p, cfg.T)
+        largest = max(build_schedule(p, cfg.T).n)
+        if cfg.max_draws_per_iter is not None and cfg.max_draws_per_iter < largest:
+            raise ConfigError(
+                f"line {runsec['max_draws_per_iter'].line}: max_draws_per_iter="
+                f"{cfg.max_draws_per_iter} is below the largest n_t {largest} of "
+                f"policy {p.label!r}"
+            )
     return cfg
 
 

@@ -5,15 +5,20 @@ One run owns all of its mutable state and is a pure function of its
 config (same seed, bit-identical trace). The Monte Carlo layer derives
 one seed per run from the master seed with a fixed 64-bit mixing rule,
 so aggregates are identical whether runs execute serially or in a
-process pool.
+process pool. Runs execute in lockstep blocks that share each selection
+step's reward evaluation; every run keeps its own generator and draws
+exactly what it would draw alone, so neither the block size nor the
+grouping changes any output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable
+from concurrent.futures import Executor, ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -179,6 +184,140 @@ class RunConfig:
         return gaussian.optimal_reward(self.d, self.sigma2, self.kappa2)
 
 
+# Selection draws in adaptive chunks: the first is 1.25 * n_t rows (at
+# least 32), later ones 1.4 * need / rate with the observed acceptance
+# rate floored at 0.02.
+#
+# Runs move through each iteration in lockstep blocks of _BLOCK_RUNS. In
+# every draw round a block's pending runs are split, in order, into groups
+# whose chunks sum to at most _GROUP_ROWS rows; each run samples its chunk
+# and then its uniforms from its own generator, and the group shares one
+# reward call and one acceptance test. A run's stream, chunk sizes and
+# outputs do not depend on which runs share its groups.
+_BLOCK_RUNS = 16
+_GROUP_ROWS = 8192
+
+
+class _Selection:
+    """One run's accept/reject state within one iteration. ``sample(k)``
+    draws k rows, then ``rng`` draws their k acceptance uniforms.
+
+    N_t (``drawn``) counts draws only up to the one that produced the
+    n_t-th acceptance, so cap semantics match the one-sample-at-a-time
+    loop exactly. On success ``batch`` holds the n_t accepted rows; on a
+    draw-cap hit the selection ends with ``batch`` None."""
+
+    __slots__ = (
+        "sample", "rng", "owner", "n_t", "cap", "need", "drawn",
+        "accepted", "clipped", "parts", "chunk", "batch",
+    )
+
+    def __init__(
+        self,
+        sample: Callable[[int], np.ndarray],
+        rng: np.random.Generator,
+        n_t: int,
+        cap: int,
+        owner: _Run | None = None,
+    ) -> None:
+        if n_t < 1:
+            raise ValueError(f"n_t must be >= 1, got {n_t}")
+        if cap < n_t:
+            raise ValueError(f"cap={cap} cannot be below n_t={n_t}")
+        self.sample = sample
+        self.rng = rng
+        self.owner = owner
+        self.n_t = n_t
+        self.cap = cap
+        self.need = n_t
+        self.drawn = 0
+        self.accepted = 0
+        self.clipped = 0
+        self.parts: list[np.ndarray] | None = []
+        self.chunk = min(cap, max(32, math.ceil(1.25 * n_t)))
+        self.batch: np.ndarray | None = None
+
+    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next chunk's rows and their acceptance uniforms."""
+        x = self.sample(self.chunk)
+        if x.ndim == 1:
+            x = x.reshape(self.chunk, -1)
+        return x, self.rng.random(self.chunk)
+
+    def take(self, x: np.ndarray, hits: np.ndarray, start: int) -> bool:
+        """Account this run's chunk, rows ``start:start+chunk`` of ``x``
+        with accepted row indices ``hits``; True once the selection ended."""
+        need = self.need
+        if hits.size >= need:
+            self.parts.append(x[hits[:need]])
+            self.drawn += int(hits[need - 1]) - start + 1
+            self.batch = np.concatenate(self.parts, axis=0)
+            self.parts = None
+            return True
+        self.parts.append(x[hits])
+        self.drawn += self.chunk
+        self.need -= hits.size
+        self.accepted += hits.size
+        if self.drawn >= self.cap:
+            self.parts = None
+            return True
+        rate = max(self.accepted / self.drawn, 0.02)
+        self.chunk = min(self.cap - self.drawn, max(32, math.ceil(1.4 * self.need / rate)))
+        return False
+
+
+def _groups(pending: list[_Selection]) -> Iterator[list[_Selection]]:
+    """Consecutive groups of at most _GROUP_ROWS rows; a chunk larger than
+    that is a group of its own."""
+    group: list[_Selection] = []
+    rows = 0
+    for s in pending:
+        if group and rows + s.chunk > _GROUP_ROWS:
+            yield group
+            group, rows = [], 0
+        group.append(s)
+        rows += s.chunk
+    if group:
+        yield group
+
+
+def _draw_group(
+    group: list[_Selection], reward_fn: Callable[[np.ndarray], np.ndarray]
+) -> list[_Selection]:
+    """Draw one chunk for every selection of ``group`` and accept each row
+    with probability equal to its reward (clipped to [0, 1]); returns
+    the selections that ended. The group's buffers are released on return."""
+    if len(group) == 1:
+        x, u = group[0].draw()
+        bounds = [0, group[0].chunk]
+    else:
+        draws = [s.draw() for s in group]
+        x = np.concatenate([d[0] for d in draws])
+        u = np.concatenate([d[1] for d in draws])
+        del draws
+        bounds = list(accumulate((s.chunk for s in group), initial=0))
+    r = np.asarray(reward_fn(x), dtype=np.float64)
+    bad = (r < 0.0) | (r > 1.0)
+    if bad.any():
+        cuts = _cuts(np.flatnonzero(bad), bounds)
+        for s, lo, hi in zip(group, cuts, cuts[1:]):
+            s.clipped += hi - lo
+        r = np.clip(r, 0.0, 1.0)
+    hits = np.flatnonzero(u < r)
+    cuts = _cuts(hits, bounds)
+    return [
+        s
+        for s, lo, hi, start in zip(group, cuts, cuts[1:], bounds)
+        if s.take(x, hits[lo:hi], start)
+    ]
+
+
+def _cuts(idx: np.ndarray, bounds: list[int]) -> list[int]:
+    """Where each run's rows start in the sorted row indices ``idx``, and
+    where the last run's end."""
+    return [0, idx.size] if len(bounds) == 2 else idx.searchsorted(bounds).tolist()
+
+
 def _select(
     sample_fn: Callable[[int], np.ndarray],
     reward_fn: Callable[[np.ndarray], np.ndarray],
@@ -187,44 +326,14 @@ def _select(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int, int]:
     """Accept/reject until n_t acceptances; returns (D, N_t, n_clipped).
-
-    Draws are vectorized in adaptive chunks, but N_t counts draws only
-    up to the one that produced the n_t-th acceptance, so cap semantics
-    match the one-sample-at-a-time loop exactly.
-    """
-    if n_t < 1:
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
-    if cap < n_t:
-        raise ValueError(f"cap={cap} cannot be below n_t={n_t}")
-    parts: list[np.ndarray] = []
-    need = n_t
-    drawn = 0
-    accepted = 0
-    clipped = 0
-    chunk = min(cap, max(32, math.ceil(1.25 * n_t)))
-    while True:
-        x = sample_fn(chunk)
-        if x.ndim == 1:
-            x = x.reshape(chunk, -1)
-        r = np.asarray(reward_fn(x), dtype=np.float64)
-        bad = (r < 0.0) | (r > 1.0)
-        if bad.any():
-            clipped += int(bad.sum())
-            r = np.clip(r, 0.0, 1.0)
-        hits = np.flatnonzero(rng.random(chunk) < r)
-        if hits.size >= need:
-            stop = int(hits[need - 1])
-            parts.append(x[hits[:need]])
-            drawn += stop + 1
-            return np.concatenate(parts, axis=0), drawn, clipped
-        parts.append(x[hits])
-        drawn += chunk
-        need -= hits.size
-        accepted += hits.size
-        if drawn >= cap:
-            raise DrawCapExceeded(drawn=drawn, accepted=accepted, needed=n_t)
-        rate = max(accepted / drawn, 0.02)
-        chunk = min(cap - drawn, max(32, math.ceil(1.4 * need / rate)))
+    The one-run case of the block selection; raises
+    :class:`DrawCapExceeded` if the cap would be exhausted first."""
+    s = _Selection(sample_fn, rng, n_t, cap)
+    while not _draw_group([s], reward_fn):
+        pass
+    if s.batch is None:
+        raise DrawCapExceeded(drawn=s.drawn, accepted=s.accepted, needed=n_t)
+    return s.batch, s.drawn, s.clipped
 
 
 def select_batch(
@@ -249,100 +358,143 @@ def select_batch(
     return D, N_t
 
 
-def run(cfg: RunConfig) -> RunTrace:
-    """Execute the full loop over cfg.schedule. Deterministic given the
-    seed; divergence and draw-cap terminations yield flagged partial
-    traces rather than exceptions."""
-    rng = np.random.default_rng(cfg.seed)
-    theta = cfg.theta0.copy()
+class _Run:
+    """Mutable state and per-iteration outputs of one run of a block."""
+
+    __slots__ = ("seed", "rng", "theta", "status", "clipped", "cum_cost", "N", "theta_after", "reward", "cost")
+
+    def __init__(self, seed: int, theta0: np.ndarray) -> None:
+        self.seed = seed
+        self.rng = np.random.default_rng(seed)
+        self.theta = theta0.copy()
+        self.status = COMPLETED
+        self.clipped = 0
+        self.cum_cost = 0.0
+        self.N: list[int] = []
+        self.theta_after: list[np.ndarray] = []
+        self.reward: list[float] = []
+        self.cost: list[float] = []
+
+
+def _run_block(cfg: RunConfig, seeds: list[int]) -> list[_Run]:
+    """Run one seed per run over cfg.schedule, all runs in lockstep.
+    Each run is what a run alone with that seed would be, bit for bit;
+    divergence and draw-cap terminations flag the run and stop it."""
     lm = cfg.loss_model
     if lm is None:
         lm = gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
-    sample_fn = lambda k: lm.sample(theta, rng, k)  # noqa: E731  (reads the current theta)
-
-    records: list[IterationRecord] = []
-    status = COMPLETED
-    clipped_total = 0
-    cum_cost = 0.0
+    runs = [_Run(seed, cfg.theta0) for seed in seeds]
+    active = runs
     for t, n_t in enumerate(cfg.schedule.n):
         cap = cfg.max_draws_per_iter if cfg.max_draws_per_iter is not None else 1000 * n_t
-        try:
-            D, N_t, clipped = _select(sample_fn, lm.reward, n_t, cap, rng)
-        except DrawCapExceeded:
-            status = DRAW_CAP_HIT
-            break
-        clipped_total += clipped
-        try:
-            theta = gd_update(theta, D, lm, updater)
-        except DivergenceError:
-            status = DIVERGED
-            break
-        if float(np.linalg.norm(theta)) > cfg.divergence_cap:
-            status = DIVERGED
-            break
-        cum_cost += cfg.cost.c_g * N_t + cfg.cost.c_t * n_t
-        reward = closed(theta) if closed is not None else _mc_expected_reward(lm, theta, cfg, t)
-        records.append(
-            IterationRecord(
-                t=t,
-                n_t=n_t,
-                N_t=N_t,
-                theta_after=theta.copy(),
-                expected_reward_after=float(reward),
-                cum_cost=cum_cost,
-            )
+        pending = [_Selection(partial(lm.sample, r.theta, r.rng), r.rng, n_t, cap, r) for r in active]
+        while pending:
+            for group in _groups(pending):
+                # A run updates as soon as its batch fills.
+                for s in _draw_group(group, lm.reward):
+                    _finish_iteration(s, cfg, t, lm, updater, closed)
+            pending = [s for s in pending if s.parts is not None]
+        active = [r for r in active if r.status == COMPLETED]
+    return runs
+
+
+def _finish_iteration(
+    s: _Selection,
+    cfg: RunConfig,
+    t: int,
+    lm: LossModel,
+    updater: GdUpdater,
+    closed: Callable[[np.ndarray], float] | None,
+) -> None:
+    """Update the run that owns the ended selection ``s``, or flag it."""
+    r = s.owner
+    if s.batch is None:
+        r.status = DRAW_CAP_HIT
+        return
+    r.clipped += s.clipped
+    D, s.batch = s.batch, None  # the run holds its accepted rows only until here
+    try:
+        theta = gd_update(r.theta, D, lm, updater)
+    except DivergenceError:
+        r.status = DIVERGED
+        return
+    if float(np.linalg.norm(theta)) > cfg.divergence_cap:
+        r.status = DIVERGED
+        return
+    r.theta = theta
+    r.cum_cost += cfg.cost.c_g * s.drawn + cfg.cost.c_t * s.n_t
+    reward = closed(theta) if closed is not None else _mc_expected_reward(lm, theta, cfg, r.seed, t)
+    r.N.append(s.drawn)
+    r.theta_after.append(theta.copy())
+    r.reward.append(float(reward))
+    r.cost.append(r.cum_cost)
+
+
+def run(cfg: RunConfig) -> RunTrace:
+    """Execute the full loop over cfg.schedule. Deterministic given the
+    seed; divergence and draw-cap terminations yield flagged partial
+    traces rather than exceptions."""
+    (r,) = _run_block(cfg, [cfg.seed])
+    records = tuple(
+        IterationRecord(
+            t=t, n_t=n_t, N_t=N_t, theta_after=theta, expected_reward_after=reward, cum_cost=cost
         )
-    return RunTrace(
-        records=tuple(records),
-        seed=cfg.seed,
-        status=status,
-        clipped_rewards=clipped_total,
+        for t, n_t, N_t, theta, reward, cost in zip(
+            range(len(r.N)), cfg.schedule.n, r.N, r.theta_after, r.reward, r.cost
+        )
     )
+    return RunTrace(records=records, seed=cfg.seed, status=r.status, clipped_rewards=r.clipped)
 
 
-def _mc_expected_reward(lm: LossModel, theta: np.ndarray, cfg: RunConfig, t: int) -> float:
+def _mc_expected_reward(
+    lm: LossModel, theta: np.ndarray, cfg: RunConfig, seed: int, t: int
+) -> float:
     # Held-out estimate on its own per-iteration stream; not billed to
     # the cost ledger.
-    eval_rng = np.random.default_rng(run_seed(cfg.seed, 0x45564C00 + t))
+    eval_rng = np.random.default_rng(run_seed(seed, 0x45564C00 + t))
     x = lm.sample(theta, eval_rng, cfg.eval_samples)
     return float(np.mean(np.clip(lm.reward(x), 0.0, 1.0)))
 
 
-def _run_arrays(
-    cfg: RunConfig, seed: int
-) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    trace = run(replace(cfg, seed=seed))
-    reward = np.array([rec.expected_reward_after for rec in trace.records])
-    cost = np.array([rec.cum_cost for rec in trace.records])
-    draws = np.array([float(rec.N_t) for rec in trace.records])
-    return trace.status, reward, cost, draws
+def _block_worker(
+    args: tuple[RunConfig, list[int]],
+) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """(status, expected reward, cumulative cost, N_t as floats) per run."""
+    return [
+        (r.status, np.array(r.reward), np.array(r.cost), np.array(r.N, dtype=np.float64))
+        for r in _run_block(*args)
+    ]
 
 
-def _worker(args: tuple[RunConfig, int]) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    return _run_arrays(*args)
-
-
-def monte_carlo(cfg: RunConfig, runs: int, workers: int = 1) -> AggregateTrace:
+def monte_carlo(
+    cfg: RunConfig,
+    runs: int,
+    workers: int = 1,
+    executor: Executor | None = None,
+) -> AggregateTrace:
     """Aggregate ``runs`` independent runs seeded by
     run_seed(cfg.seed, i). Diverged / draw-capped runs are excluded from
     the statistics and reported in the counts. Requires at least two
-    completed runs. ``workers > 1`` executes runs in a process pool;
-    results are reduced in run-index order either way, so the aggregate
-    does not depend on the execution mode.
+    completed runs. Runs execute in lockstep blocks; ``workers > 1``
+    spreads the blocks over a process pool, ``executor`` when one is
+    given (``workers`` is then its width), else a pool started for this
+    call. Results are reduced in run-index order either way, so the
+    aggregate does not depend on the execution mode.
     """
     if runs < 2:
         raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
-    seeds = [run_seed(cfg.seed, i) for i in range(runs)]
-    if workers > 1:
+    if executor is None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_worker, [(cfg, s) for s in seeds], chunksize=max(1, runs // (4 * workers)))
-            )
-    else:
-        results = [_run_arrays(cfg, s) for s in seeds]
+            return monte_carlo(cfg, runs, workers, pool)
+    seeds = [run_seed(cfg.seed, i) for i in range(runs)]
+    # A pool gets about four blocks per worker or more, to keep its workers evenly loaded.
+    size = _BLOCK_RUNS if executor is None else min(_BLOCK_RUNS, max(1, runs // (4 * workers)))
+    tasks = [(cfg, seeds[i : i + size]) for i in range(0, runs, size)]
+    blocks = map(_block_worker, tasks) if executor is None else executor.map(_block_worker, tasks)
+    results = [r for block in blocks for r in block]
 
     T = len(cfg.schedule.n)
     completed = [r for r in results if r[0] == COMPLETED]

@@ -44,7 +44,9 @@ class LossModel(Protocol):
     additionally provide ``gd_step(theta, D, eta)`` with an
     algebraically equivalent but numerically preferable form of the
     averaged gradient step, and ``expected_reward(theta)`` when a
-    closed form exists.
+    closed form exists. ``reward`` of an (n, d) batch gives each row the
+    reward of that row alone, so the rows of several runs can share one
+    call.
     """
 
     def loss(self, x: np.ndarray, theta: np.ndarray) -> float: ...

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from iterboot import engine
 from iterboot.cli import main
 from iterboot.csvio import read_agg_csv, write_agg_csv
 
@@ -114,6 +115,24 @@ class TestSimulate:
         path.write_text(text)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"line {text.splitlines().index(new) + 1}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("[output]", "eval_samples = 0"),
+            ("[run]", "divergence_cap = -1"),
+            ("[run]", "max_draws_per_iter = 10"),
+        ],
+    )
+    def test_value_that_fails_at_run_time_is_validation_error(
+        self, tmp_path, capsys, section, line
+    ):
+        text = SMALL.replace(section, f"{section}\n{line}")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"line {text.splitlines().index(line) + 1}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_all_runs_failing_is_runtime_error(self, tmp_path, capsys):
@@ -254,6 +273,23 @@ class TestSweep:
         summary = (out / "sweep_summary.csv").read_text().splitlines()
         assert summary[0] == "axis,value,policy_label,final_T,mean_gap,se_gap"
         assert len(summary) == 1 + 3 * 2  # three values, two policies
+
+    def test_one_pool_per_command(self, small_cfg, tmp_path, monkeypatch):
+        starts = []
+
+        class CountedPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountedPool)
+        args = [*out_args(small_cfg, tmp_path), "--axis", "policy.exp.u", "--values", "0.25,0.5"]
+        assert main(["sweep", *args, "--workers", "2"]) == 0
+        assert starts == [{"max_workers": 2}]
+        assert main(["simulate", *out_args(small_cfg, tmp_path), "--workers", "2"]) == 0
+        assert len(starts) == 2
+        assert main(["sweep", *args]) == 0
+        assert len(starts) == 2
 
     def test_constant_floor_scaling_visible(self, tmp_path):
         # Larger constant batches push the final gap monotonically down.

@@ -160,6 +160,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"line {line}: eta must be positive"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "section_line, line, message",
+        [
+            ("[output]", "eval_samples = 0", "eval_samples must be >= 1"),
+            ("[run]", "divergence_cap = -1", "divergence_cap must be positive"),
+            (
+                "[run]",
+                "max_draws_per_iter = 100",
+                "max_draws_per_iter=100 is below the largest n_t 2919 of policy 'exp'",
+            ),
+        ],
+    )
+    def test_value_that_fails_at_run_time_names_line(self, section_line, line, message):
+        text = TOY.replace("eval_samples = 10000\n", "").replace(
+            section_line, f"{section_line}\n{line}"
+        )
+        lineno = text.splitlines().index(line) + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: {message}"):
+            parse_config(text)
+
     def test_non_finite_theta0_names_line(self):
         with pytest.raises(ConfigError, match="line 7: theta0 must be finite"):
             parse_config(TOY.replace("theta0 = 1.0, 1.0", "theta0 = nan, 1.0"))
