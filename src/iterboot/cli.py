@@ -103,15 +103,15 @@ def _simulate_into(
     for p in cfg.policies:
         schedule = build_schedule(p, cfg.T)
         run_cfg = _run_config(cfg, schedule)
-        agg = engine.monte_carlo(run_cfg, cfg.runs, workers=workers, executor=pool)
+        agg = engine.monte_carlo(run_cfg, cfg.runs, workers=workers, executor=pool, traces=traces)
         write_agg_csv(out_dir / f"{p.label}_agg.csv", aggregate_rows(p.label, agg))
-        for i in range(min(traces, cfg.runs)):
-            trace = engine.run(replace(run_cfg, seed=engine.run_seed(cfg.master_seed, i)))
+        for i, trace in enumerate(agg.traces):
             write_text_atomic(out_dir / f"{p.label}_run{i}.csv", run_trace_csv_text(trace))
         summary[p.label] = {
             "completed": agg.runs_completed,
             "diverged": agg.runs_diverged,
             "draw_cap_hit": agg.runs_draw_capped,
+            "clipped_rewards": agg.clipped_rewards,
         }
         series.append(Series(p.label, agg.mean_cum_cost, agg.mean_gap, agg.se_gap))
     if cfg.emit_svg:

@@ -38,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -263,10 +263,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"section [model] is missing required key {req!r}")
     sigma2 = _as_float(model["sigma2"], "sigma2")
     kappa2 = _as_float(model["kappa2"], "kappa2")
-    if sigma2 <= 0:
-        raise ConfigError(f"line {model['sigma2'].line}: sigma2 must be positive")
-    if kappa2 <= 0:
-        raise ConfigError(f"line {model['kappa2'].line}: kappa2 must be positive")
     theta0 = np.array(_as_float_list(model["theta0"], "theta0"), dtype=np.float64)
     if theta0.size == 0:
         raise ConfigError(f"line {model['theta0'].line}: theta0 must not be empty")
@@ -299,35 +295,46 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, entry in entries.items():
             field = "out_dir" if key == "directory" else key
             scalars[field] = _KEY_PARSERS[_FIELD_TYPES[field]](entry, key)
-    if scalars["T"] < 1:
-        raise ConfigError(f"line {runsec['T'].line}: T must be >= 1")
-    if "eta" in runsec and scalars["eta"] <= 0:
-        raise ConfigError(f"line {runsec['eta'].line}: eta must be positive")
-    if scalars["runs"] < 2:
-        raise ConfigError(
-            f"line {runsec['runs'].line}: runs must be >= 2 (standard errors need at "
-            f"least two completed runs)"
-        )
-    if "divergence_cap" in runsec and scalars["divergence_cap"] <= 0:
-        raise ConfigError(f"line {runsec['divergence_cap'].line}: divergence_cap must be positive")
-    output = sections.get("output", {})
-    if "eval_samples" in output and scalars["eval_samples"] < 1:
-        raise ConfigError(f"line {output['eval_samples'].line}: eval_samples must be >= 1")
-
     cfg = ExperimentConfig(
         sigma2=sigma2, kappa2=kappa2, theta0=theta0, policies=tuple(policies), **scalars
     )
-    # Materialize every policy once now so family/parameter problems
-    # surface as config errors, not later runtime ones.
+    lines = {
+        key: entry.line
+        for name in ("model", "run", "output")
+        for key, entry in sections.get(name, {}).items()
+    }
+    _check_values(cfg, lambda key: f"line {lines[key]}: ")
+    return cfg
+
+
+def _check_values(cfg: ExperimentConfig, where: Callable[[str], str]) -> None:
+    """The value checks of a config, wherever its values came from: the
+    file, or a sweep's override. ``where(key)`` names the source of a
+    rejected key, as a message prefix. Every policy is materialized, so
+    family and parameter problems surface here, not at run time."""
+    if cfg.sigma2 <= 0:
+        raise ConfigError(f"{where('sigma2')}sigma2 must be positive")
+    if cfg.kappa2 <= 0:
+        raise ConfigError(f"{where('kappa2')}kappa2 must be positive")
+    if cfg.T < 1:
+        raise ConfigError(f"{where('T')}T must be >= 1")
+    if cfg.eta is not None and cfg.eta <= 0:
+        raise ConfigError(f"{where('eta')}eta must be positive")
+    if cfg.runs < 2:
+        raise ConfigError(
+            f"{where('runs')}runs must be >= 2 (standard errors need at least two completed runs)"
+        )
+    if cfg.divergence_cap <= 0:
+        raise ConfigError(f"{where('divergence_cap')}divergence_cap must be positive")
+    if cfg.eval_samples < 1:
+        raise ConfigError(f"{where('eval_samples')}eval_samples must be >= 1")
     for p in cfg.policies:
         largest = max(build_schedule(p, cfg.T).n)
         if cfg.max_draws_per_iter is not None and cfg.max_draws_per_iter < largest:
             raise ConfigError(
-                f"line {runsec['max_draws_per_iter'].line}: max_draws_per_iter="
-                f"{cfg.max_draws_per_iter} is below the largest n_t {largest} of "
-                f"policy {p.label!r}"
+                f"{where('max_draws_per_iter')}max_draws_per_iter={cfg.max_draws_per_iter} "
+                f"is below the largest n_t {largest} of policy {p.label!r}"
             )
-    return cfg
 
 
 def _parse_policy(label: str, entries: dict[str, _Entry], lineno: int) -> PolicyConfig:
@@ -403,8 +410,8 @@ def apply_override(cfg: ExperimentConfig, axis: str, value: float) -> Experiment
     if len(parts) == 2:
         section, key = parts
         kind = _FIELD_TYPES.get(key) if key in _SECTION_KEYS.get(section, ()) else None
-        return replace(cfg, **{key: _axis_value(axis, kind, value)})
-    if len(parts) == 3 and parts[0] == "policy":
+        swept = replace(cfg, **{key: _axis_value(axis, kind, value)})
+    elif len(parts) == 3 and parts[0] == "policy":
         _, label, key = parts
         for i, p in enumerate(cfg.policies):
             if p.label == label:
@@ -412,6 +419,11 @@ def apply_override(cfg: ExperimentConfig, axis: str, value: float) -> Experiment
                 params = {**p.params, key: _axis_value(axis, kind, value)}
                 policies = list(cfg.policies)
                 policies[i] = replace(p, params=params)
-                return replace(cfg, policies=tuple(policies))
-        raise ConfigError(f"axis {axis!r}: no policy labeled {label!r}")
-    raise ConfigError(f"axis {axis!r} is not of the form section.key or policy.label.key")
+                swept = replace(cfg, policies=tuple(policies))
+                break
+        else:
+            raise ConfigError(f"axis {axis!r}: no policy labeled {label!r}")
+    else:
+        raise ConfigError(f"axis {axis!r} is not of the form section.key or policy.label.key")
+    _check_values(swept, lambda key: f"axis {axis!r}: ")
+    return swept

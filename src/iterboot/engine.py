@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterator
 
@@ -35,6 +34,7 @@ __all__ = [
     "IterationRecord",
     "RunTrace",
     "AggregateTrace",
+    "MonteCarloTrace",
     "DrawCapExceeded",
     "select_batch",
     "run",
@@ -123,6 +123,16 @@ class AggregateTrace:
     r_star: float
 
 
+@dataclass(frozen=True)
+class MonteCarloTrace(AggregateTrace):
+    """What :func:`monte_carlo` returns: the aggregate, plus the rewards
+    clipped to [0, 1] over all runs (diverged and draw-capped ones
+    included) and the full traces of the first runs asked for."""
+
+    clipped_rewards: int
+    traces: tuple[RunTrace, ...]
+
+
 @dataclass
 class RunConfig:
     """Everything one run needs. With ``loss_model`` unset the generator
@@ -190,80 +200,98 @@ class RunConfig:
 #
 # Runs move through each iteration in lockstep blocks of _BLOCK_RUNS. In
 # every draw round a block's pending runs are split, in order, into groups
-# whose chunks sum to at most _GROUP_ROWS rows; each run samples its chunk
-# and then its uniforms from its own generator, and the group shares one
-# reward call and one acceptance test. A run's stream, chunk sizes and
-# outputs do not depend on which runs share its groups.
+# whose chunks sum to at most _GROUP_ROWS rows. A group owns one row buffer
+# and one uniform buffer: each run fills its slice of both from its own
+# generator, rows first. The group shares one reward call and one
+# acceptance test, gathers its accepted rows once, and each run copies its
+# share into its slot of the block's batch buffer. A run's stream, chunk
+# sizes and outputs do not depend on which runs share its groups.
 _BLOCK_RUNS = 16
 _GROUP_ROWS = 8192
 
 
 class _Selection:
-    """One run's accept/reject state within one iteration. ``sample(k)``
-    draws k rows, then ``rng`` draws their k acceptance uniforms.
+    """One run's accept/reject state within one iteration. Its rows come
+    from the model at ``theta`` (drawn with ``rng``), and ``rng`` then
+    draws their acceptance uniforms.
 
     N_t (``drawn``) counts draws only up to the one that produced the
     n_t-th acceptance, so cap semantics match the one-sample-at-a-time
-    loop exactly. On success ``batch`` holds the n_t accepted rows; on a
-    draw-cap hit the selection ends with ``batch`` None."""
+    loop exactly. Accepted rows fill ``batch`` (n_t rows) in draw order;
+    the selection ends when it is full (``need`` 0) or on the draw cap."""
 
-    __slots__ = (
-        "sample", "rng", "owner", "n_t", "cap", "need", "drawn",
-        "accepted", "clipped", "parts", "chunk", "batch",
-    )
+    __slots__ = ("theta", "rng", "batch", "n_t", "cap", "need", "drawn", "accepted", "clipped", "chunk")
 
     def __init__(
-        self,
-        sample: Callable[[int], np.ndarray],
-        rng: np.random.Generator,
-        n_t: int,
-        cap: int,
-        owner: _Run | None = None,
+        self, theta: np.ndarray | None, rng: np.random.Generator, batch: np.ndarray, cap: int
     ) -> None:
+        n_t = len(batch)
         if n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {n_t}")
         if cap < n_t:
             raise ValueError(f"cap={cap} cannot be below n_t={n_t}")
-        self.sample = sample
+        self.theta = theta
         self.rng = rng
-        self.owner = owner
+        self.batch = batch
         self.n_t = n_t
         self.cap = cap
         self.need = n_t
         self.drawn = 0
         self.accepted = 0
         self.clipped = 0
-        self.parts: list[np.ndarray] | None = []
         self.chunk = min(cap, max(32, math.ceil(1.25 * n_t)))
-        self.batch: np.ndarray | None = None
 
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
-        """The next chunk's rows and their acceptance uniforms."""
-        x = self.sample(self.chunk)
-        if x.ndim == 1:
-            x = x.reshape(self.chunk, -1)
-        return x, self.rng.random(self.chunk)
+    @property
+    def ended(self) -> bool:
+        return self.need == 0 or self.drawn >= self.cap
 
-    def take(self, x: np.ndarray, hits: np.ndarray, start: int) -> bool:
-        """Account this run's chunk, rows ``start:start+chunk`` of ``x``
-        with accepted row indices ``hits``; True once the selection ended."""
+    def take(self, rows: np.ndarray, hits: np.ndarray, lo: int, hi: int, start: int) -> None:
+        """Account this run's chunk, which starts at row ``start`` of its
+        group: ``hits[lo:hi]`` are the group indices of its accepted rows,
+        in order, and ``rows[lo:hi]`` those rows."""
         need = self.need
-        if hits.size >= need:
-            self.parts.append(x[hits[:need]])
-            self.drawn += int(hits[need - 1]) - start + 1
-            self.batch = np.concatenate(self.parts, axis=0)
-            self.parts = None
-            return True
-        self.parts.append(x[hits])
+        got = self.n_t - need
+        k = hi - lo
+        if k >= need:
+            self.batch[got:] = rows[lo : lo + need]
+            self.drawn += int(hits[lo + need - 1]) - start + 1
+            self.need = 0
+            return
+        self.batch[got : got + k] = rows[lo:hi]
         self.drawn += self.chunk
-        self.need -= hits.size
-        self.accepted += hits.size
-        if self.drawn >= self.cap:
-            self.parts = None
-            return True
-        rate = max(self.accepted / self.drawn, 0.02)
-        self.chunk = min(self.cap - self.drawn, max(32, math.ceil(1.4 * self.need / rate)))
-        return False
+        self.need -= k
+        self.accepted += k
+        if self.drawn < self.cap:
+            rate = max(self.accepted / self.drawn, 0.02)
+            self.chunk = min(self.cap - self.drawn, max(32, math.ceil(1.4 * self.need / rate)))
+
+
+# Writes the next chunk of rows of every selection of a group, one run
+# after another, into the group's row buffer.
+_Fill = Callable[[list[_Selection], np.ndarray], None]
+
+
+def _model_fill(lm: LossModel) -> _Fill:
+    """A loss model's group fill: its ``sample_into`` when it has one,
+    else a copy of each run's ``sample``."""
+    into = getattr(lm, "sample_into", None)
+    if into is None:
+        return _copy_fill(lambda s: lm.sample(s.theta, s.rng, s.chunk))
+    return lambda group, x: into(
+        [s.theta for s in group], [s.rng for s in group], [s.chunk for s in group], x
+    )
+
+
+def _copy_fill(sample: Callable[[_Selection], np.ndarray]) -> _Fill:
+    """A group fill that copies the rows ``sample(s)`` returns for each s."""
+
+    def fill(group: list[_Selection], x: np.ndarray) -> None:
+        lo = 0
+        for s in group:
+            x[lo : lo + s.chunk] = np.reshape(sample(s), (s.chunk, x.shape[1]))
+            lo += s.chunk
+
+    return fill
 
 
 def _groups(pending: list[_Selection]) -> Iterator[list[_Selection]]:
@@ -282,34 +310,27 @@ def _groups(pending: list[_Selection]) -> Iterator[list[_Selection]]:
 
 
 def _draw_group(
-    group: list[_Selection], reward_fn: Callable[[np.ndarray], np.ndarray]
-) -> list[_Selection]:
+    group: list[_Selection], fill: _Fill, reward_fn: Callable[[np.ndarray], np.ndarray]
+) -> None:
     """Draw one chunk for every selection of ``group`` and accept each row
-    with probability equal to its reward (clipped to [0, 1]); returns
-    the selections that ended. The group's buffers are released on return."""
-    if len(group) == 1:
-        x, u = group[0].draw()
-        bounds = [0, group[0].chunk]
-    else:
-        draws = [s.draw() for s in group]
-        x = np.concatenate([d[0] for d in draws])
-        u = np.concatenate([d[1] for d in draws])
-        del draws
-        bounds = list(accumulate((s.chunk for s in group), initial=0))
+    with probability equal to its reward (clipped to [0, 1])."""
+    bounds = list(accumulate((s.chunk for s in group), initial=0))
+    x = np.empty((bounds[-1], group[0].batch.shape[1]))
+    u = np.empty(bounds[-1])
+    fill(group, x)
+    for s, lo, hi in zip(group, bounds, bounds[1:]):
+        s.rng.random(out=u[lo:hi])
     r = np.asarray(reward_fn(x), dtype=np.float64)
-    bad = (r < 0.0) | (r > 1.0)
-    if bad.any():
-        cuts = _cuts(np.flatnonzero(bad), bounds)
+    if r.min() < 0.0 or r.max() > 1.0:
+        cuts = _cuts(np.flatnonzero((r < 0.0) | (r > 1.0)), bounds)
         for s, lo, hi in zip(group, cuts, cuts[1:]):
             s.clipped += hi - lo
         r = np.clip(r, 0.0, 1.0)
     hits = np.flatnonzero(u < r)
+    rows = x.take(hits, axis=0)  # one gather per group; far faster than x[hits]
     cuts = _cuts(hits, bounds)
-    return [
-        s
-        for s, lo, hi, start in zip(group, cuts, cuts[1:], bounds)
-        if s.take(x, hits[lo:hi], start)
-    ]
+    for s, lo, hi, start in zip(group, cuts, cuts[1:], bounds):
+        s.take(rows, hits, lo, hi, start)
 
 
 def _cuts(idx: np.ndarray, bounds: list[int]) -> list[int]:
@@ -328,10 +349,14 @@ def _select(
     """Accept/reject until n_t acceptances; returns (D, N_t, n_clipped).
     The one-run case of the block selection; raises
     :class:`DrawCapExceeded` if the cap would be exhausted first."""
-    s = _Selection(sample_fn, rng, n_t, cap)
-    while not _draw_group([s], reward_fn):
-        pass
-    if s.batch is None:
+    # A zero-row draw gives the row width without advancing the generator.
+    empty = sample_fn(0)
+    width = empty.shape[1] if empty.ndim == 2 else 1
+    s = _Selection(None, rng, np.empty((n_t, width)), cap)
+    fill = _copy_fill(lambda s: sample_fn(s.chunk))
+    while not s.ended:
+        _draw_group([s], fill, reward_fn)
+    if s.need:
         raise DrawCapExceeded(drawn=s.drawn, accepted=s.accepted, needed=n_t)
     return s.batch, s.drawn, s.clipped
 
@@ -366,7 +391,7 @@ class _Run:
     def __init__(self, seed: int, theta0: np.ndarray) -> None:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.theta = theta0.copy()
+        self.theta = theta0
         self.status = COMPLETED
         self.clipped = 0
         self.cum_cost = 0.0
@@ -386,58 +411,78 @@ def _run_block(cfg: RunConfig, seeds: list[int]) -> list[_Run]:
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
+    fill = _model_fill(lm)
     runs = [_Run(seed, cfg.theta0) for seed in seeds]
     active = runs
     for t, n_t in enumerate(cfg.schedule.n):
         cap = cfg.max_draws_per_iter if cfg.max_draws_per_iter is not None else 1000 * n_t
-        pending = [_Selection(partial(lm.sample, r.theta, r.rng), r.rng, n_t, cap, r) for r in active]
+        batch = _batch_buffer(n_t, len(active), cfg.d)
+        sels = [_Selection(r.theta, r.rng, batch[:, i], cap) for i, r in enumerate(active)]
+        pending = sels
         while pending:
             for group in _groups(pending):
-                # A run updates as soon as its batch fills.
-                for s in _draw_group(group, lm.reward):
-                    _finish_iteration(s, cfg, t, lm, updater, closed)
-            pending = [s for s in pending if s.parts is not None]
+                _draw_group(group, fill, lm.reward)
+            pending = [s for s in pending if not s.ended]
+        # A run's update cannot change another run's draws, so the block
+        # updates once its whole selection has ended.
+        thetas = _step(lm, updater, [r.theta for r in active], batch, [not s.need for s in sels])
+        for r, s, theta in zip(active, sels, thetas):
+            if s.need:
+                r.status = DRAW_CAP_HIT
+                continue
+            r.clipped += s.clipped
+            if theta is None or float(np.linalg.norm(theta)) > cfg.divergence_cap:
+                r.status = DIVERGED
+                continue
+            r.theta = theta
+            r.cum_cost += cfg.cost.c_g * s.drawn + cfg.cost.c_t * n_t
+            reward = closed(theta) if closed is not None else _mc_expected_reward(lm, theta, cfg, r.seed, t)
+            r.N.append(s.drawn)
+            r.theta_after.append(theta)
+            r.reward.append(float(reward))
+            r.cost.append(r.cum_cost)
         active = [r for r in active if r.status == COMPLETED]
+        if not active:
+            break
     return runs
 
 
-def _finish_iteration(
-    s: _Selection,
-    cfg: RunConfig,
-    t: int,
+def _batch_buffer(n_t: int, runs: int, d: int) -> np.ndarray:
+    """An (n_t, runs, d) buffer of zeros for a block's accepted rows, laid
+    out so that ``mean(axis=0)`` sums each run's rows in the order that
+    run's own (n_t, d) batch would: one row after another for d >= 2, so
+    the rows of all runs interleave, and pairwise along the run's
+    contiguous rows for d = 1. Zeros, so the unfilled slots of capped
+    runs update harmlessly."""
+    if d == 1:
+        return np.zeros((runs, n_t, 1)).transpose(1, 0, 2)
+    return np.zeros((n_t, runs, d))
+
+
+def _step(
     lm: LossModel,
     updater: GdUpdater,
-    closed: Callable[[np.ndarray], float] | None,
-) -> None:
-    """Update the run that owns the ended selection ``s``, or flag it."""
-    r = s.owner
-    if s.batch is None:
-        r.status = DRAW_CAP_HIT
-        return
-    r.clipped += s.clipped
-    D, s.batch = s.batch, None  # the run holds its accepted rows only until here
-    try:
-        theta = gd_update(r.theta, D, lm, updater)
-    except DivergenceError:
-        r.status = DIVERGED
-        return
-    if float(np.linalg.norm(theta)) > cfg.divergence_cap:
-        r.status = DIVERGED
-        return
-    r.theta = theta
-    r.cum_cost += cfg.cost.c_g * s.drawn + cfg.cost.c_t * s.n_t
-    reward = closed(theta) if closed is not None else _mc_expected_reward(lm, theta, cfg, r.seed, t)
-    r.N.append(s.drawn)
-    r.theta_after.append(theta.copy())
-    r.reward.append(float(reward))
-    r.cost.append(r.cum_cost)
+    thetas: list[np.ndarray],
+    batch: np.ndarray,
+    filled: list[bool],
+) -> list[np.ndarray | None]:
+    """Each run's updated theta (a fresh array), or None where the step is
+    not finite; ``batch[:, i]`` holds run i's accepted rows where
+    ``filled[i]``. A model's ``gd_step`` updates the whole stack at once."""
+    step = getattr(lm, "gd_step", None)
+    if step is not None:
+        new = np.asarray(step(np.stack(thetas), batch, updater.eta), dtype=np.float64)
+        return [theta if ok else None for theta, ok in zip(new, np.isfinite(new).all(axis=1))]
+    out: list[np.ndarray | None] = []
+    for i, (theta, ok) in enumerate(zip(thetas, filled)):
+        try:
+            out.append(gd_update(theta, batch[:, i], lm, updater) if ok else None)
+        except DivergenceError:
+            out.append(None)
+    return out
 
 
-def run(cfg: RunConfig) -> RunTrace:
-    """Execute the full loop over cfg.schedule. Deterministic given the
-    seed; divergence and draw-cap terminations yield flagged partial
-    traces rather than exceptions."""
-    (r,) = _run_block(cfg, [cfg.seed])
+def _trace(cfg: RunConfig, r: _Run) -> RunTrace:
     records = tuple(
         IterationRecord(
             t=t, n_t=n_t, N_t=N_t, theta_after=theta, expected_reward_after=reward, cum_cost=cost
@@ -446,7 +491,15 @@ def run(cfg: RunConfig) -> RunTrace:
             range(len(r.N)), cfg.schedule.n, r.N, r.theta_after, r.reward, r.cost
         )
     )
-    return RunTrace(records=records, seed=cfg.seed, status=r.status, clipped_rewards=r.clipped)
+    return RunTrace(records=records, seed=r.seed, status=r.status, clipped_rewards=r.clipped)
+
+
+def run(cfg: RunConfig) -> RunTrace:
+    """Execute the full loop over cfg.schedule. Deterministic given the
+    seed; divergence and draw-cap terminations yield flagged partial
+    traces rather than exceptions."""
+    (r,) = _run_block(cfg, [cfg.seed])
+    return _trace(cfg, r)
 
 
 def _mc_expected_reward(
@@ -460,12 +513,21 @@ def _mc_expected_reward(
 
 
 def _block_worker(
-    args: tuple[RunConfig, list[int]],
-) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
-    """(status, expected reward, cumulative cost, N_t as floats) per run."""
+    args: tuple[RunConfig, list[int], int],
+) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray, int, RunTrace | None]]:
+    """(status, expected reward, cumulative cost, N_t as floats, clipped
+    rewards, full trace for the block's first ``traces`` runs) per run."""
+    cfg, seeds, traces = args
     return [
-        (r.status, np.array(r.reward), np.array(r.cost), np.array(r.N, dtype=np.float64))
-        for r in _run_block(*args)
+        (
+            r.status,
+            np.array(r.reward),
+            np.array(r.cost),
+            np.array(r.N, dtype=np.float64),
+            r.clipped,
+            _trace(cfg, r) if i < traces else None,
+        )
+        for i, r in enumerate(_run_block(cfg, seeds))
     ]
 
 
@@ -474,10 +536,12 @@ def monte_carlo(
     runs: int,
     workers: int = 1,
     executor: Executor | None = None,
-) -> AggregateTrace:
+    traces: int = 0,
+) -> MonteCarloTrace:
     """Aggregate ``runs`` independent runs seeded by
     run_seed(cfg.seed, i). Diverged / draw-capped runs are excluded from
-    the statistics and reported in the counts. Requires at least two
+    the statistics and reported in the counts; the full traces of the
+    first ``traces`` runs come back too. Requires at least two
     completed runs. Runs execute in lockstep blocks; ``workers > 1``
     spreads the blocks over a process pool, ``executor`` when one is
     given (``workers`` is then its width), else a pool started for this
@@ -488,11 +552,11 @@ def monte_carlo(
         raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
     if executor is None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return monte_carlo(cfg, runs, workers, pool)
+            return monte_carlo(cfg, runs, workers, pool, traces)
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
     # A pool gets about four blocks per worker or more, to keep its workers evenly loaded.
     size = _BLOCK_RUNS if executor is None else min(_BLOCK_RUNS, max(1, runs // (4 * workers)))
-    tasks = [(cfg, seeds[i : i + size]) for i in range(0, runs, size)]
+    tasks = [(cfg, seeds[i : i + size], traces - i) for i in range(0, runs, size)]
     blocks = map(_block_worker, tasks) if executor is None else executor.map(_block_worker, tasks)
     results = [r for block in blocks for r in block]
 
@@ -516,7 +580,7 @@ def monte_carlo(
     def _se(a: np.ndarray) -> np.ndarray:
         return a.std(axis=0, ddof=1) / math.sqrt(m)
 
-    return AggregateTrace(
+    return MonteCarloTrace(
         T=np.arange(1, T + 1),
         n=cfg.schedule.n,
         mean_gap=gap.mean(axis=0),
@@ -531,4 +595,6 @@ def monte_carlo(
         runs_diverged=diverged,
         runs_draw_capped=capped,
         r_star=r_star,
+        clipped_rewards=sum(r[4] for r in results),
+        traces=tuple(r[5] for r in results if r[5] is not None),
     )

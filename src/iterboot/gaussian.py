@@ -78,7 +78,18 @@ def reward(r: ExpReward, x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim <= 1:
         return float(np.exp(-0.5 * float(x @ x) / r.kappa2))
-    return np.exp(-0.5 * np.einsum("ij,ij->i", x, x) / r.kappa2)
+    # exp(-0.5 * ||x||^2 / kappa2), computed in place. For d <= 2 the
+    # squared norm is one product or one sum of two, so column passes give
+    # einsum's value bit for bit, about four times faster.
+    if x.shape[1] <= 2:
+        e = x[:, 0] * x[:, 0]
+        if x.shape[1] == 2:
+            e += x[:, 1] * x[:, 1]
+    else:
+        e = np.einsum("ij,ij->i", x, x)
+    e *= -0.5
+    e /= r.kappa2
+    return np.exp(e, out=e)
 
 
 def expected_reward(m: GaussianModel, r: ExpReward) -> float:

@@ -40,13 +40,18 @@ class LossModel(Protocol):
     Implementations must be stateless apart from construction
     parameters so they can be shared freely across runs. ``loss`` is
     non-negative; ``grad`` must be the true gradient of ``loss`` in
-    theta (checkable with :func:`check_gradient`). Models may
+    theta (checkable with :func:`check_gradient`). ``sample`` of a
+    size gives that many float64 rows of theta's dimension. Models may
     additionally provide ``gd_step(theta, D, eta)`` with an
     algebraically equivalent but numerically preferable form of the
-    averaged gradient step, and ``expected_reward(theta)`` when a
-    closed form exists. ``reward`` of an (n, d) batch gives each row the
-    reward of that row alone, so the rows of several runs can share one
-    call.
+    averaged gradient step, which also takes a stack of runs, thetas
+    (B, d) and batches (n, B, d), and gives each run the step it would
+    get alone; ``sample_into(thetas, rngs, sizes, out)``, which fills
+    ``out`` with the rows ``sample(theta, rng, size)`` would return for
+    each run of the lists in turn, bit for bit and from the same
+    streams; and ``expected_reward(theta)`` when a closed form exists.
+    ``reward`` of an (n, d) batch gives each row the reward of that row
+    alone, so the rows of several runs can share one call.
     """
 
     def loss(self, x: np.ndarray, theta: np.ndarray) -> float: ...
@@ -135,6 +140,24 @@ class GaussianNll:
         # gaussian.sample's expression, without a GaussianModel per call.
         shape = self.d if size is None else (size, self.d)
         return theta + math.sqrt(self.sigma2) * rng.standard_normal(shape)
+
+    def sample_into(
+        self,
+        thetas: list[np.ndarray],
+        rngs: list[np.random.Generator],
+        sizes: list[int],
+        out: np.ndarray,
+    ) -> None:
+        # Each run's normals in place from its own generator, then one
+        # scale and one shift for all runs: theta + s*z is s*z + theta
+        # bit for bit. A lone run's theta broadcasts, since repeating it
+        # would double the memory of the large chunks of one-run groups.
+        lo = 0
+        for rng, k in zip(rngs, sizes):
+            rng.standard_normal(out=out[lo : lo + k])
+            lo += k
+        out *= math.sqrt(self.sigma2)
+        out += thetas[0] if len(thetas) == 1 else np.repeat(thetas, sizes, axis=0)
 
     def reward(self, x: np.ndarray) -> float | np.ndarray:
         return gaussian.reward(self._reward, x)

@@ -62,6 +62,7 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out)
         assert summary["status"]["exp"]["completed"] == 40
         assert summary["status"]["exp"]["diverged"] == 0
+        assert summary["status"]["exp"]["clipped_rewards"] == 0
 
     def test_byte_identical_reruns(self, small_cfg, tmp_path):
         args = ["simulate", *out_args(small_cfg, tmp_path)]
@@ -352,6 +353,20 @@ class TestSweep:
         args = ["--axis", "model.kappa2", "--values", "2.0000001,2.0000002"]
         assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
         assert "repeat a point name" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("output.eval_samples", "0", "eval_samples must be >= 1"),
+            ("run.divergence_cap", "-1", "divergence_cap must be positive"),
+            ("run.max_draws_per_iter", "3", "max_draws_per_iter=3 is below the largest n_t"),
+        ],
+    )
+    def test_swept_value_gets_the_file_checks(self, small_cfg, tmp_path, capsys, axis, value, message):
+        # The same value in the config file is a validation error (exit 1).
+        assert main(["sweep", *out_args(small_cfg, tmp_path), "--axis", axis, f"--values={value}"]) == 1
+        assert f"axis {axis!r}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_non_integral_integer_axis_rejected(self, small_cfg, tmp_path, capsys):

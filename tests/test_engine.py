@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_engine as ref
+from iterboot import engine
 from iterboot.analytic import marginal
 from iterboot.csvio import run_trace_csv_text
 from iterboot.engine import (
@@ -357,3 +359,83 @@ class TestMonteCarlo:
         assert agg.runs_completed + agg.runs_diverged == 40
         assert agg.runs_diverged > 0
         assert np.all(np.isfinite(agg.mean_gap))
+
+
+class TestMonteCarloExtras:
+    def test_clipped_rewards_sum_reference_counts(self):
+        from test_lockstep import CASES, RUNS
+
+        cfg = CASES["custom_clipped"]
+        want = sum(ref.run(replace(cfg, seed=run_seed(cfg.seed, i))).clipped_rewards for i in range(RUNS))
+        assert want > 0
+        assert monte_carlo(cfg, RUNS).clipped_rewards == want
+        assert monte_carlo(cfg, RUNS, workers=2).clipped_rewards == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traces_are_the_first_runs(self, workers):
+        # With two workers a block holds four runs, so the six traces span two blocks.
+        cfg = toy_config(Schedule((10, 15, 20)), seed=9)
+        agg = monte_carlo(cfg, 37, workers=workers, traces=6)
+        assert len(agg.traces) == 6
+        for i, got in enumerate(agg.traces):
+            want = run(replace(cfg, seed=run_seed(cfg.seed, i)))
+            assert (got.seed, got.status) == (want.seed, want.status)
+            assert run_trace_csv_text(got) == run_trace_csv_text(want)
+        assert monte_carlo(cfg, 37).traces == ()
+
+
+class TestBlockBatchLayout:
+    """The summation order of a batch mean that the block's batch buffer
+    relies on. A numpy whose reduction order differs fails here, naming
+    its version, before it shows up as a golden mismatch."""
+
+    @staticmethod
+    def pairwise(a):
+        # numpy's pairwise summation of a contiguous float64 vector.
+        n = len(a)
+        if n < 8:
+            total = np.float64(0.0)
+            for v in a:
+                total = total + v
+            return total
+        if n <= 128:
+            acc = list(a[:8])
+            stop = n - n % 8
+            for i in range(8, stop, 8):
+                acc = [p + q for p, q in zip(acc, a[i : i + 8])]
+            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+            for v in a[stop:]:
+                total = total + v
+            return total
+        half = n // 2
+        half -= half % 8
+        return TestBlockBatchLayout.pairwise(a[:half]) + TestBlockBatchLayout.pairwise(a[half:])
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_mean_order_and_block_layout(self, d):
+        rng = np.random.default_rng(d)
+        version = f"numpy {np.__version__}"
+        for n in (1, 7, 8, 10, 100, 129, 1000, 2919):
+            runs = 5
+            D = [rng.standard_normal((n, d)) * 3.0 + 0.5 for _ in range(runs)]
+            for rows in D:
+                alone = rows.mean(axis=0)
+                if d == 1:
+                    want = self.pairwise(rows[:, 0]) / n
+                    assert alone[0] == want, f"{version}: d = 1 batch mean is not pairwise (n = {n})"
+                else:
+                    total = rows[0].copy()
+                    for row in rows[1:]:
+                        total += row
+                    want = total / n
+                    assert alone.tobytes() == want.tobytes(), (
+                        f"{version}: d = {d} batch mean is not sequential over rows (n = {n})"
+                    )
+            batch = engine._batch_buffer(n, runs, d)
+            for i, rows in enumerate(D):
+                batch[:, i] = rows
+            stacked = batch.mean(axis=0)
+            for i, rows in enumerate(D):
+                assert stacked[i].tobytes() == rows.mean(axis=0).tobytes(), (
+                    f"{version}: the block layout changes run {i}'s batch mean (d = {d}, n = {n})"
+                )

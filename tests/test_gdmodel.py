@@ -161,3 +161,26 @@ class TestCheckGradient:
     def test_rejects_nonpositive_h(self):
         with pytest.raises(ValueError):
             check_gradient(gaussian_nll(1.0, 2.0, 1), np.array([0.0]), np.array([1.0]), h=0.0)
+
+
+class TestSampleInto:
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("sigma2", [1.0, 0.7])
+    @pytest.mark.parametrize("sizes", [[37], [32, 1, 500, 64]])
+    def test_fill_is_sample_bit_for_bit(self, d, sigma2, sizes):
+        lm = gaussian_nll(sigma2, 2.0, d)
+        thetas = [np.linspace(-1.0, 2.0, d) * (i + 1) for i in range(len(sizes))]
+        got = [np.random.default_rng(100 + i) for i in range(len(sizes))]
+        want = [np.random.default_rng(100 + i) for i in range(len(sizes))]
+        out = np.empty((sum(sizes), d))
+        lm.sample_into(thetas, got, sizes, out)
+        expected = np.concatenate([lm.sample(th, rng, k) for th, rng, k in zip(thetas, want, sizes)])
+        assert out.tobytes() == expected.tobytes()
+        for a, b in zip(got, want):
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_reward_is_the_einsum_expression(self, d):
+        x = np.random.default_rng(d).standard_normal((5000, d)) * 2.0
+        want = np.exp(-0.5 * np.einsum("ij,ij->i", x, x) / 1.7)
+        assert gaussian_nll(1.0, 1.7, d).reward(x).tobytes() == want.tobytes()
