@@ -68,6 +68,14 @@ def _apply_flag_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Ex
     return cfg
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject a pool width below 1 and a negative trace count."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    if getattr(args, "traces", 0) < 0:
+        raise ConfigError(f"--traces must be >= 0, got {args.traces}")
+
+
 def _run_config(cfg: ExperimentConfig, schedule) -> engine.RunConfig:
     return engine.RunConfig(
         theta0=cfg.theta0,
@@ -121,6 +129,7 @@ def _simulate_into(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
+        _check_counts(args)
         cfg = _apply_flag_overrides(load_config(args.config), args)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
@@ -200,6 +209,7 @@ def cmd_optimal_policy(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        _check_counts(args)
         cfg = _apply_flag_overrides(load_config(args.config), args)
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]
         if not values:

@@ -1,14 +1,14 @@
 """Execution of the bootstrapping loop: reward-filtered selection,
 parameter updates, cost accounting, and Monte Carlo aggregation.
 
-One run owns all of its mutable state and is a pure function of its
-config (same seed, bit-identical trace). The Monte Carlo layer derives
-one seed per run from the master seed with a fixed 64-bit mixing rule,
-so aggregates are identical whether runs execute serially or in a
-process pool. Runs execute in lockstep blocks that share each selection
-step's reward evaluation; every run keeps its own generator and draws
-exactly what it would draw alone, so neither the block size nor the
-grouping changes any output.
+A run is a pure function of its config (same seed, bit-identical
+trace). The Monte Carlo layer derives one seed per run from the master
+seed with a fixed 64-bit mixing rule, so aggregates are identical
+whether runs execute serially or in a process pool. Runs execute in
+lockstep blocks that share each selection step's reward evaluation and
+keep their thetas and records in block-wide arrays; every run keeps its
+own generator and draws exactly what it would draw alone, so neither
+the block size nor the grouping changes any output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -196,18 +196,22 @@ class RunConfig:
 
 # Selection draws in adaptive chunks: the first is 1.25 * n_t rows (at
 # least 32), later ones 1.4 * need / rate with the observed acceptance
-# rate floored at 0.02.
+# rate floored at 0.02, and at most _CHUNK_BYTES of rows, so a low rate
+# cannot blow a chunk up to 70 * need rows. The first chunk is bounded
+# by the batch it fills.
 #
-# Runs move through each iteration in lockstep blocks of _BLOCK_RUNS. In
-# every draw round a block's pending runs are split, in order, into groups
-# whose chunks sum to at most _GROUP_ROWS rows. A group owns one row buffer
-# and one uniform buffer: each run fills its slice of both from its own
-# generator, rows first. The group shares one reward call and one
-# acceptance test, gathers its accepted rows once, and each run copies its
-# share into its slot of the block's batch buffer. A run's stream, chunk
-# sizes and outputs do not depend on which runs share its groups.
+# Runs move through each iteration in lockstep blocks of _BLOCK_RUNS runs
+# (a pooled block may hold more, see monte_carlo). In every draw round a
+# block's pending runs are split, in order, into groups whose chunks sum
+# to at most _GROUP_ROWS rows. A group owns one row buffer and one uniform
+# buffer: each run fills its slice of both from its own generator, rows
+# first. The group shares one reward call and one acceptance test, gathers
+# its accepted rows once, and each run copies its share into its slot of
+# the block's batch buffer. A run's stream, chunk sizes and outputs do not
+# depend on which runs share its groups.
 _BLOCK_RUNS = 16
 _GROUP_ROWS = 8192
+_CHUNK_BYTES = 1 << 24
 
 
 class _Selection:
@@ -223,9 +227,13 @@ class _Selection:
     __slots__ = ("theta", "rng", "batch", "n_t", "cap", "need", "drawn", "accepted", "clipped", "chunk")
 
     def __init__(
-        self, theta: np.ndarray | None, rng: np.random.Generator, batch: np.ndarray, cap: int
+        self,
+        theta: np.ndarray | None,
+        rng: np.random.Generator,
+        n_t: int,
+        cap: int,
+        batch: np.ndarray | None = None,
     ) -> None:
-        n_t = len(batch)
         if n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {n_t}")
         if cap < n_t:
@@ -263,33 +271,31 @@ class _Selection:
         self.accepted += k
         if self.drawn < self.cap:
             rate = max(self.accepted / self.drawn, 0.02)
-            self.chunk = min(self.cap - self.drawn, max(32, math.ceil(1.4 * self.need / rate)))
+            most = max(1, _CHUNK_BYTES // (8 * self.batch.shape[1]))
+            self.chunk = min(self.cap - self.drawn, max(32, math.ceil(1.4 * self.need / rate)), most)
 
 
-# Writes the next chunk of rows of every selection of a group, one run
-# after another, into the group's row buffer.
-_Fill = Callable[[list[_Selection], np.ndarray], None]
+# The next chunk of rows of every selection of a group, one run after
+# another, in one (rows, d) buffer.
+_Fill = Callable[[list[_Selection]], np.ndarray]
 
 
-def _model_fill(lm: LossModel) -> _Fill:
-    """A loss model's group fill: its ``sample_into`` when it has one,
+def _model_fill(lm: LossModel, d: int) -> _Fill:
+    """A loss model's group sampler: its ``sample_into`` when it has one,
     else a copy of each run's ``sample``."""
     into = getattr(lm, "sample_into", None)
-    if into is None:
-        return _copy_fill(lambda s: lm.sample(s.theta, s.rng, s.chunk))
-    return lambda group, x: into(
-        [s.theta for s in group], [s.rng for s in group], [s.chunk for s in group], x
-    )
 
-
-def _copy_fill(sample: Callable[[_Selection], np.ndarray]) -> _Fill:
-    """A group fill that copies the rows ``sample(s)`` returns for each s."""
-
-    def fill(group: list[_Selection], x: np.ndarray) -> None:
+    def fill(group: list[_Selection]) -> np.ndarray:
+        sizes = [s.chunk for s in group]
+        x = np.empty((sum(sizes), d))
+        if into is not None:
+            into([s.theta for s in group], [s.rng for s in group], sizes, x)
+            return x
         lo = 0
-        for s in group:
-            x[lo : lo + s.chunk] = np.reshape(sample(s), (s.chunk, x.shape[1]))
-            lo += s.chunk
+        for s, k in zip(group, sizes):
+            x[lo : lo + k] = np.reshape(lm.sample(s.theta, s.rng, k), (k, d))
+            lo += k
+        return x
 
     return fill
 
@@ -309,15 +315,14 @@ def _groups(pending: list[_Selection]) -> Iterator[list[_Selection]]:
         yield group
 
 
-def _draw_group(
-    group: list[_Selection], fill: _Fill, reward_fn: Callable[[np.ndarray], np.ndarray]
+def _accept(
+    group: list[_Selection], x: np.ndarray, reward_fn: Callable[[np.ndarray], np.ndarray]
 ) -> None:
-    """Draw one chunk for every selection of ``group`` and accept each row
-    with probability equal to its reward (clipped to [0, 1])."""
+    """Accept each row of ``x``, the group's chunks one run after another,
+    with probability equal to its reward (clipped to [0, 1]). Each run
+    draws its chunk's uniforms after its rows."""
     bounds = list(accumulate((s.chunk for s in group), initial=0))
-    x = np.empty((bounds[-1], group[0].batch.shape[1]))
     u = np.empty(bounds[-1])
-    fill(group, x)
     for s, lo, hi in zip(group, bounds, bounds[1:]):
         s.rng.random(out=u[lo:hi])
     r = np.asarray(reward_fn(x), dtype=np.float64)
@@ -349,13 +354,12 @@ def _select(
     """Accept/reject until n_t acceptances; returns (D, N_t, n_clipped).
     The one-run case of the block selection; raises
     :class:`DrawCapExceeded` if the cap would be exhausted first."""
-    # A zero-row draw gives the row width without advancing the generator.
-    empty = sample_fn(0)
-    width = empty.shape[1] if empty.ndim == 2 else 1
-    s = _Selection(None, rng, np.empty((n_t, width)), cap)
-    fill = _copy_fill(lambda s: sample_fn(s.chunk))
+    s = _Selection(None, rng, n_t, cap)
     while not s.ended:
-        _draw_group([s], fill, reward_fn)
+        x = np.reshape(sample_fn(s.chunk), (s.chunk, -1))
+        if s.batch is None:
+            s.batch = np.empty((n_t, x.shape[1]))
+        _accept([s], x, reward_fn)
     if s.need:
         raise DrawCapExceeded(drawn=s.drawn, accepted=s.accepted, needed=n_t)
     return s.batch, s.drawn, s.clipped
@@ -383,25 +387,24 @@ def select_batch(
     return D, N_t
 
 
-class _Run:
-    """Mutable state and per-iteration outputs of one run of a block."""
+@dataclass
+class _Block:
+    """The runs of one lockstep block, run i in row i: its seed, status,
+    clipped-reward count and number of completed iterations, and for each
+    completed iteration t its N_t, theta, expected reward and cumulative
+    cost in column t. Columns past a run's completed iterations are 0."""
 
-    __slots__ = ("seed", "rng", "theta", "status", "clipped", "cum_cost", "N", "theta_after", "reward", "cost")
-
-    def __init__(self, seed: int, theta0: np.ndarray) -> None:
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.theta = theta0
-        self.status = COMPLETED
-        self.clipped = 0
-        self.cum_cost = 0.0
-        self.N: list[int] = []
-        self.theta_after: list[np.ndarray] = []
-        self.reward: list[float] = []
-        self.cost: list[float] = []
+    seeds: list[int]
+    status: list[str]
+    clipped: np.ndarray  # (B,)
+    done: np.ndarray  # (B,)
+    N: np.ndarray  # (B, T)
+    theta: np.ndarray  # (B, T, d); monte_carlo keeps the traced runs' rows
+    reward: np.ndarray  # (B, T)
+    cost: np.ndarray  # (B, T)
 
 
-def _run_block(cfg: RunConfig, seeds: list[int]) -> list[_Run]:
+def _run_block(cfg: RunConfig, seeds: list[int]) -> _Block:
     """Run one seed per run over cfg.schedule, all runs in lockstep.
     Each run is what a run alone with that seed would be, bit for bit;
     divergence and draw-cap terminations flag the run and stop it."""
@@ -411,40 +414,66 @@ def _run_block(cfg: RunConfig, seeds: list[int]) -> list[_Run]:
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
-    fill = _model_fill(lm)
-    runs = [_Run(seed, cfg.theta0) for seed in seeds]
-    active = runs
+    fill = _model_fill(lm, cfg.d)
+    B, T = len(seeds), len(cfg.schedule.n)
+    out = _Block(
+        seeds=list(seeds),
+        status=[COMPLETED] * B,
+        clipped=np.zeros(B, dtype=np.int64),
+        done=np.full(B, T),
+        N=np.zeros((B, T), dtype=np.int64),
+        theta=np.zeros((B, T, cfg.d)),
+        reward=np.zeros((B, T)),
+        cost=np.zeros((B, T)),
+    )
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # The runs still going, with their thetas and cumulative costs.
+    live = np.arange(B)
+    theta = np.repeat(cfg.theta0[None], B, axis=0)
+    cum_cost = np.zeros(B)
     for t, n_t in enumerate(cfg.schedule.n):
         cap = cfg.max_draws_per_iter if cfg.max_draws_per_iter is not None else 1000 * n_t
-        batch = _batch_buffer(n_t, len(active), cfg.d)
-        sels = [_Selection(r.theta, r.rng, batch[:, i], cap) for i, r in enumerate(active)]
+        batch = _batch_buffer(n_t, live.size, cfg.d)
+        sels = [
+            _Selection(th, rngs[i], n_t, cap, batch[:, j])
+            for j, (i, th) in enumerate(zip(live.tolist(), theta))
+        ]
         pending = sels
         while pending:
             for group in _groups(pending):
-                _draw_group(group, fill, lm.reward)
+                _accept(group, fill(group), lm.reward)
             pending = [s for s in pending if not s.ended]
+        need, drawn, clipped = np.array([(s.need, s.drawn, s.clipped) for s in sels]).T
+        filled = need == 0
         # A run's update cannot change another run's draws, so the block
         # updates once its whole selection has ended.
-        thetas = _step(lm, updater, [r.theta for r in active], batch, [not s.need for s in sels])
-        for r, s, theta in zip(active, sels, thetas):
-            if s.need:
-                r.status = DRAW_CAP_HIT
-                continue
-            r.clipped += s.clipped
-            if theta is None or float(np.linalg.norm(theta)) > cfg.divergence_cap:
-                r.status = DIVERGED
-                continue
-            r.theta = theta
-            r.cum_cost += cfg.cost.c_g * s.drawn + cfg.cost.c_t * n_t
-            reward = closed(theta) if closed is not None else _mc_expected_reward(lm, theta, cfg, r.seed, t)
-            r.N.append(s.drawn)
-            r.theta_after.append(theta)
-            r.reward.append(float(reward))
-            r.cost.append(r.cum_cost)
-        active = [r for r in active if r.status == COMPLETED]
-        if not active:
-            break
-    return runs
+        theta, finite = _step(lm, updater, theta, batch, filled)
+        # vecdot gives each row theta @ theta bit for bit, so its root is
+        # np.linalg.norm(theta).
+        ok = filled & finite & ~(np.sqrt(np.vecdot(theta, theta)) > cfg.divergence_cap)
+        if clipped.any():
+            out.clipped[live[filled]] += clipped[filled]
+        if not ok.all():
+            for i in live[~filled].tolist():
+                out.status[i] = DRAW_CAP_HIT
+            for i in live[filled & ~ok].tolist():
+                out.status[i] = DIVERGED
+            out.done[live[~ok]] = t
+            live, theta, drawn, cum_cost = live[ok], theta[ok], drawn[ok], cum_cost[ok]
+            if not live.size:
+                break
+        cum_cost += cfg.cost.c_g * drawn + cfg.cost.c_t * n_t
+        if closed is not None:
+            reward = closed(theta)
+        else:
+            reward = [
+                _mc_expected_reward(lm, th, cfg, seeds[i], t) for i, th in zip(live.tolist(), theta)
+            ]
+        out.N[live, t] = drawn
+        out.theta[live, t] = theta
+        out.reward[live, t] = reward
+        out.cost[live, t] = cum_cost
+    return out
 
 
 def _batch_buffer(n_t: int, runs: int, d: int) -> np.ndarray:
@@ -462,44 +491,56 @@ def _batch_buffer(n_t: int, runs: int, d: int) -> np.ndarray:
 def _step(
     lm: LossModel,
     updater: GdUpdater,
-    thetas: list[np.ndarray],
+    thetas: np.ndarray,
     batch: np.ndarray,
-    filled: list[bool],
-) -> list[np.ndarray | None]:
-    """Each run's updated theta (a fresh array), or None where the step is
-    not finite; ``batch[:, i]`` holds run i's accepted rows where
+    filled: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's updated theta, as rows of a fresh array, and where the
+    step is finite; ``batch[:, i]`` holds run i's accepted rows where
     ``filled[i]``. A model's ``gd_step`` updates the whole stack at once."""
     step = getattr(lm, "gd_step", None)
     if step is not None:
-        new = np.asarray(step(np.stack(thetas), batch, updater.eta), dtype=np.float64)
-        return [theta if ok else None for theta, ok in zip(new, np.isfinite(new).all(axis=1))]
-    out: list[np.ndarray | None] = []
-    for i, (theta, ok) in enumerate(zip(thetas, filled)):
+        new = np.asarray(step(thetas, batch, updater.eta), dtype=np.float64)
+        return new, np.isfinite(new).all(axis=1)
+    new = thetas.copy()
+    finite = filled.copy()
+    for i in np.flatnonzero(filled).tolist():
         try:
-            out.append(gd_update(theta, batch[:, i], lm, updater) if ok else None)
+            new[i] = gd_update(thetas[i], batch[:, i], lm, updater)
         except DivergenceError:
-            out.append(None)
-    return out
+            finite[i] = False
+    return new, finite
 
 
-def _trace(cfg: RunConfig, r: _Run) -> RunTrace:
+def _trace(cfg: RunConfig, block: _Block, i: int) -> RunTrace:
+    """The trace of run ``i`` of ``block``."""
+    k = int(block.done[i])
     records = tuple(
         IterationRecord(
             t=t, n_t=n_t, N_t=N_t, theta_after=theta, expected_reward_after=reward, cum_cost=cost
         )
         for t, n_t, N_t, theta, reward, cost in zip(
-            range(len(r.N)), cfg.schedule.n, r.N, r.theta_after, r.reward, r.cost
+            range(k),
+            cfg.schedule.n,
+            block.N[i, :k].tolist(),
+            block.theta[i, :k],
+            block.reward[i, :k].tolist(),
+            block.cost[i, :k].tolist(),
         )
     )
-    return RunTrace(records=records, seed=r.seed, status=r.status, clipped_rewards=r.clipped)
+    return RunTrace(
+        records=records,
+        seed=block.seeds[i],
+        status=block.status[i],
+        clipped_rewards=int(block.clipped[i]),
+    )
 
 
 def run(cfg: RunConfig) -> RunTrace:
     """Execute the full loop over cfg.schedule. Deterministic given the
     seed; divergence and draw-cap terminations yield flagged partial
     traces rather than exceptions."""
-    (r,) = _run_block(cfg, [cfg.seed])
-    return _trace(cfg, r)
+    return _trace(cfg, _run_block(cfg, [cfg.seed]), 0)
 
 
 def _mc_expected_reward(
@@ -512,23 +553,12 @@ def _mc_expected_reward(
     return float(np.mean(np.clip(lm.reward(x), 0.0, 1.0)))
 
 
-def _block_worker(
-    args: tuple[RunConfig, list[int], int],
-) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray, int, RunTrace | None]]:
-    """(status, expected reward, cumulative cost, N_t as floats, clipped
-    rewards, full trace for the block's first ``traces`` runs) per run."""
-    cfg, seeds, traces = args
-    return [
-        (
-            r.status,
-            np.array(r.reward),
-            np.array(r.cost),
-            np.array(r.N, dtype=np.float64),
-            r.clipped,
-            _trace(cfg, r) if i < traces else None,
-        )
-        for i, r in enumerate(_run_block(cfg, seeds))
-    ]
+def _mc_block(cfg: RunConfig, seeds: list[int], traces: int) -> _Block:
+    """A block of ``monte_carlo`` that keeps the theta records of its
+    first ``traces`` runs only, which are all its traces read."""
+    block = _run_block(cfg, seeds)
+    block.theta = block.theta[: max(traces, 0)].copy()
+    return block
 
 
 def monte_carlo(
@@ -554,26 +584,33 @@ def monte_carlo(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return monte_carlo(cfg, runs, workers, pool, traces)
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
-    # A pool gets about four blocks per worker or more, to keep its workers evenly loaded.
-    size = _BLOCK_RUNS if executor is None else min(_BLOCK_RUNS, max(1, runs // (4 * workers)))
-    tasks = [(cfg, seeds[i : i + size], traces - i) for i in range(0, runs, size)]
-    blocks = map(_block_worker, tasks) if executor is None else executor.map(_block_worker, tasks)
-    results = [r for block in blocks for r in block]
+    # A pooled block takes more than _BLOCK_RUNS runs while its batch
+    # buffer, the largest n_t rows per run, stays within _GROUP_ROWS rows,
+    # which spreads each block's array work and pool task over more runs.
+    # A pool gets about two blocks per worker or more, to keep its workers
+    # evenly loaded.
+    size = _BLOCK_RUNS
+    if executor is not None:
+        size = min(max(size, _GROUP_ROWS // max(cfg.schedule.n)), max(1, runs // (2 * workers)))
+    starts = range(0, runs, size)
+    mapper = map if executor is None else executor.map
+    blocks = list(
+        mapper(_mc_block, repeat(cfg), [seeds[i : i + size] for i in starts], [traces - i for i in starts])
+    )
 
     T = len(cfg.schedule.n)
-    completed = [r for r in results if r[0] == COMPLETED]
-    diverged = sum(1 for r in results if r[0] == DIVERGED)
-    capped = sum(1 for r in results if r[0] == DRAW_CAP_HIT)
-    if len(completed) == 0:
+    status = [s for b in blocks for s in b.status]
+    ok = np.array([s == COMPLETED for s in status])
+    m = int(ok.sum())
+    if m == 0:
         raise RuntimeError("all Monte Carlo runs failed")
-    if len(completed) < 2:
-        raise RuntimeError(
-            f"only {len(completed)} completed run(s); need >= 2 for standard errors"
-        )
-    m = len(completed)
-    reward = np.stack([r[1] for r in completed])
-    cost = np.stack([r[2] for r in completed])
-    draws = np.stack([r[3] for r in completed])
+    if m < 2:
+        raise RuntimeError(f"only {m} completed run(s); need >= 2 for standard errors")
+    # (completed runs, T) and C-ordered, as one row per run stacked, so
+    # the reductions below add in the same order as a stack of runs.
+    reward = np.concatenate([b.reward for b in blocks])[ok]
+    cost = np.concatenate([b.cost for b in blocks])[ok]
+    draws = np.concatenate([b.N for b in blocks])[ok].astype(np.float64)
     r_star = cfg.resolve_r_star()
     gap = r_star - reward
 
@@ -592,9 +629,9 @@ def monte_carlo(
         mean_N=draws.mean(axis=0),
         se_N=_se(draws),
         runs_completed=m,
-        runs_diverged=diverged,
-        runs_draw_capped=capped,
+        runs_diverged=status.count(DIVERGED),
+        runs_draw_capped=status.count(DRAW_CAP_HIT),
         r_star=r_star,
-        clipped_rewards=sum(r[4] for r in results),
-        traces=tuple(r[5] for r in results if r[5] is not None),
+        clipped_rewards=int(sum(b.clipped.sum() for b in blocks)),
+        traces=tuple(_trace(cfg, blocks[j // size], j % size) for j in range(min(traces, runs))),
     )

@@ -49,7 +49,9 @@ class LossModel(Protocol):
     get alone; ``sample_into(thetas, rngs, sizes, out)``, which fills
     ``out`` with the rows ``sample(theta, rng, size)`` would return for
     each run of the lists in turn, bit for bit and from the same
-    streams; and ``expected_reward(theta)`` when a closed form exists.
+    streams; and ``expected_reward(theta)`` when a closed form exists,
+    which also takes a stack of thetas (B, d) and gives each the reward
+    it would get alone.
     ``reward`` of an (n, d) batch gives each row the reward of that row
     alone, so the rows of several runs can share one call.
     """
@@ -162,11 +164,16 @@ class GaussianNll:
     def reward(self, x: np.ndarray) -> float | np.ndarray:
         return gaussian.reward(self._reward, x)
 
-    def expected_reward(self, theta: np.ndarray) -> float:
+    def expected_reward(self, theta: np.ndarray) -> float | np.ndarray:
         # gaussian.expected_reward's expression; _r_star = (1+rho)^(-d/2).
+        # vecdot gives each row theta @ theta bit for bit, and every theta
+        # keeps its own math.exp, which np.exp does not always match.
         theta = np.asarray(theta, dtype=np.float64)
-        norm2 = float(theta @ theta)
-        return self._r_star * math.exp(-norm2 / (2.0 * (self.sigma2 + self.kappa2)))
+        norm2 = np.vecdot(theta, theta)
+        scale = 2.0 * (self.sigma2 + self.kappa2)
+        if norm2.ndim == 0:
+            return self._r_star * math.exp(-float(norm2) / scale)
+        return np.array([self._r_star * math.exp(-v / scale) for v in norm2.tolist()])
 
     def gd_step(self, theta: np.ndarray, D: np.ndarray, eta: float) -> np.ndarray:
         # (1-c)*theta + c*mean(D) with c = eta/sigma2 equals the averaged

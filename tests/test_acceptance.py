@@ -91,13 +91,12 @@ def test_criterion_1_lemma_moments():
     )
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
     # Lockstep blocks give each run what it gives alone, bit for bit.
-    finals = np.array(
-        [
-            r.theta_after[-1][0]
-            for i in range(0, runs, engine._BLOCK_RUNS)
-            for r in engine._run_block(cfg, seeds[i : i + engine._BLOCK_RUNS])
-        ]
-    )
+    blocks = [
+        engine._run_block(cfg, seeds[i : i + engine._BLOCK_RUNS])
+        for i in range(0, runs, engine._BLOCK_RUNS)
+    ]
+    assert all(s == engine.COMPLETED for b in blocks for s in b.status)
+    finals = np.concatenate([b.theta[:, -1, 0] for b in blocks])
     mean_want, var_want = 0.44444, 0.096296
     se_mean = math.sqrt(var_want / runs)
     se_var = math.sqrt(2.0 * var_want**2 / (runs - 1))

@@ -100,6 +100,16 @@ class TestSimulate:
         assert main(["simulate", *out_args(small_cfg, tmp_path), "--workers", "2"]) == 0
         assert (tmp_path / "out" / "exp_agg.csv").read_bytes() == serial
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--workers", "0"), ("--workers", "-3"), ("--traces", "-2")]
+    )
+    def test_out_of_range_count_flag_is_validation_error(
+        self, small_cfg, tmp_path, capsys, flag, value
+    ):
+        assert main(["simulate", *out_args(small_cfg, tmp_path), flag, value]) == 1
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(SMALL.replace("runs = 40", "runs = 1"))
@@ -367,6 +377,12 @@ class TestSweep:
         # The same value in the config file is a validation error (exit 1).
         assert main(["sweep", *out_args(small_cfg, tmp_path), "--axis", axis, f"--values={value}"]) == 1
         assert f"axis {axis!r}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_workers_is_validation_error(self, small_cfg, tmp_path, capsys):
+        args = ["--axis", "policy.exp.u", "--values", "0.3", "--workers", "0"]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_non_integral_integer_axis_rejected(self, small_cfg, tmp_path, capsys):

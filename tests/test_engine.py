@@ -92,6 +92,40 @@ class TestSelectBatch:
         se_var = math.sqrt(max(m4 - var_want**2, 0.0) / trials)
         assert abs(draws.var(ddof=1) - var_want) < 5 * se_var
 
+    def test_capped_chunks_keep_the_negative_binomial_law(self, monkeypatch):
+        # Acceptance near 3 %: uncapped, the chunks after the first would
+        # be about 1.4 * need / rate rows, over 800; the cap allows 64.
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 64 * 2 * 8)
+        chunks = []
+        accept = engine._accept
+
+        def spy(group, x, reward_fn):
+            chunks.extend(s.chunk for s in group)
+            accept(group, x, reward_fn)
+
+        monkeypatch.setattr(engine, "_accept", spy)
+        n_t, runs = 20, 4000
+        cfg = RunConfig(
+            theta0=np.array([1.5, 1.5]),
+            schedule=Schedule((n_t,)),
+            cost=CostModel(1.0, 0.0),
+            seed=7,
+            sigma2=1.0,
+            kappa2=0.25,
+        )
+        seeds = [run_seed(cfg.seed, i) for i in range(runs)]
+        blocks = [engine._run_block(cfg, seeds[i : i + 16]) for i in range(0, runs, 16)]
+        assert max(chunks) == 64 and chunks.count(64) > runs
+        failures = np.concatenate([b.N[:, 0] for b in blocks]).astype(float) - n_t
+        # Failures before the n_t-th acceptance: NegBin(n_t, p).
+        p = expected_reward(GaussianModel(cfg.theta0, 1.0), ExpReward(0.25))
+        assert 0.03 < p < 0.04
+        mean_want = n_t * (1 - p) / p
+        var_want = n_t * (1 - p) / p**2
+        m4_want = var_want**2 * (3 + 6 / n_t + p**2 / (n_t * (1 - p)))
+        assert abs(failures.mean() - mean_want) < 4 * math.sqrt(var_want / runs)
+        assert abs(failures.var(ddof=1) - var_want) < 4 * math.sqrt((m4_want - var_want**2) / runs)
+
     def test_accepted_samples_follow_post_selection_law(self):
         rng = np.random.default_rng(3)
         m = GaussianModel(np.array([1.0]), 1.0)
@@ -281,9 +315,14 @@ class TestMonteCarlo:
     def test_lemma_one_moments_at_ten_thousand_runs(self):
         cfg = toy_config(Schedule((10, 10)), seed=20240817, theta0=(1.0,))
         runs = 10_000
-        finals = np.empty(runs)
-        for i in range(runs):
-            finals[i] = run(replace(cfg, seed=run_seed(cfg.seed, i))).final_theta[0]
+        seeds = [run_seed(cfg.seed, i) for i in range(runs)]
+        # Lockstep blocks give each run what it gives alone, bit for bit.
+        blocks = [
+            engine._run_block(cfg, seeds[i : i + engine._BLOCK_RUNS])
+            for i in range(0, runs, engine._BLOCK_RUNS)
+        ]
+        assert all(s == COMPLETED for b in blocks for s in b.status)
+        finals = np.concatenate([b.theta[:, -1, 0] for b in blocks])
         law = marginal(1.0, cfg.schedule, 1.0, 2.0)
         se_mean = math.sqrt(law.sigma2_T / runs)
         assert abs(finals.mean() - law.mu[0]) < 4 * se_mean
@@ -373,10 +412,12 @@ class TestMonteCarloExtras:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_traces_are_the_first_runs(self, workers):
-        # With two workers a block holds four runs, so the six traces span two blocks.
+        # Serial blocks hold _BLOCK_RUNS = 16 runs, and with two workers a
+        # block holds 37 // (2 * 2) = 9, so the 20 traces span two blocks
+        # serially and three pooled.
         cfg = toy_config(Schedule((10, 15, 20)), seed=9)
-        agg = monte_carlo(cfg, 37, workers=workers, traces=6)
-        assert len(agg.traces) == 6
+        agg = monte_carlo(cfg, 37, workers=workers, traces=20)
+        assert len(agg.traces) == 20
         for i, got in enumerate(agg.traces):
             want = run(replace(cfg, seed=run_seed(cfg.seed, i)))
             assert (got.seed, got.status) == (want.seed, want.status)

@@ -1,11 +1,13 @@
 """Gradient-descent updater, Gaussian NLL instance, gradient checking."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterboot.gaussian import mle_update
+from iterboot.gaussian import mle_update, optimal_reward
 from iterboot.gdmodel import (
     DivergenceError,
     GdUpdater,
@@ -184,3 +186,18 @@ class TestSampleInto:
         x = np.random.default_rng(d).standard_normal((5000, d)) * 2.0
         want = np.exp(-0.5 * np.einsum("ij,ij->i", x, x) / 1.7)
         assert gaussian_nll(1.0, 1.7, d).reward(x).tobytes() == want.tobytes()
+
+
+class TestExpectedReward:
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_stack_is_each_theta_bit_for_bit(self, d):
+        lm = gaussian_nll(0.7, 1.3, d)
+        rng = np.random.default_rng(40 + d)
+        thetas = rng.standard_normal((3000, d)) * rng.choice([0.01, 1.0, 5.0], size=(3000, 1))
+        got = lm.expected_reward(thetas)
+        alone = [lm.expected_reward(theta) for theta in thetas]
+        # The one-theta expression: its own dot product and math.exp.
+        r_star = optimal_reward(d, 0.7, 1.3)
+        want = [r_star * math.exp(-float(th @ th) / (2.0 * (0.7 + 1.3))) for th in thetas]
+        assert got.dtype == np.float64 and got.shape == (3000,)
+        assert got.tobytes() == np.array(alone).tobytes() == np.array(want).tobytes()
