@@ -125,7 +125,15 @@ def _hypothesis_bound(T: int, d: int, sigma2: float, kappa2: float) -> float:
 
 
 def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarray:
-    """Real-valued budget-optimal counts n_t = C*(1+rho)^t / sum_k (1+rho)^k."""
+    """Real-valued budget-optimal counts n_t = C*(1+rho)^t / sum_k (1+rho)^k.
+    Raises ``ValueError`` for T < 1, C < T, or sigma2, kappa2 not positive finite."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if C < T:
+        raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
+    for name, value in (("sigma2", sigma2), ("kappa2", kappa2)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite real, got {value!r}")
     rho = sigma2 / kappa2
     weights = np.array([(1.0 + rho) ** t for t in range(T)])
     return C * weights / weights.sum()
@@ -148,13 +156,14 @@ def optimal_schedule(
 
     When ``theta0`` is supplied, warns if it violates the
     initial-condition hypothesis ||theta0|| <= (1+rho)^T*sqrt(d*(sigma2+kappa2))
-    under which this schedule is provably optimal.
+    under which this schedule is provably optimal. Raises ``ValueError``
+    where :func:`continuous_optimum` does, and for a non-finite theta0.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if C < T:
-        raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
     continuous = continuous_optimum(C, T, sigma2, kappa2)
+    if theta0 is not None:
+        theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
+        if not np.isfinite(theta0).all():
+            raise ValueError(f"theta0 must be finite, got {theta0.tolist()}")
     floors = np.floor(continuous).astype(int)
     remainder = int(C - floors.sum())
     # Stable sort on descending fractional part; earlier index wins ties.
@@ -166,7 +175,6 @@ def optimal_schedule(
         floors[int(np.argmax(floors == 0))] += 1
         floors[int(np.argmax(floors))] -= 1
     if theta0 is not None:
-        theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
         bound = _hypothesis_bound(T, theta0.size, sigma2, kappa2)
         norm = float(np.linalg.norm(theta0))
         if norm > bound:

@@ -176,15 +176,12 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_optimal_policy(args: argparse.Namespace) -> int:
     C, T = args.budget, args.iters
-    if T < 1:
-        return _fail("iterations must be >= 1", EXIT_VALIDATION)
-    if C < T:
-        return _fail("budget below one sample per iteration", EXIT_VALIDATION)
-    if args.sigma2 <= 0 or args.kappa2 <= 0:
-        return _fail("sigma2 and kappa2 must be positive", EXIT_VALIDATION)
     theta0 = np.array(args.theta0, dtype=float) if args.theta0 else None
+    try:
+        schedule = analytic.optimal_schedule(C, T, args.sigma2, args.kappa2, theta0)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
     continuous = analytic.continuous_optimum(C, T, args.sigma2, args.kappa2)
-    schedule = analytic.optimal_schedule(C, T, args.sigma2, args.kappa2, theta0)
     ns = list(schedule.n)
     sig2 = analytic.marginal(
         theta0 if theta0 is not None else 0.0, schedule, args.sigma2, args.kappa2

@@ -18,7 +18,13 @@ errors can always name a line:
 
     [run] / [cost] / [output] sections follow the same key = value shape.
 
-In [run], ``eta`` (the gradient step) needs ``update = gd``; without it
+The fields of :class:`ExperimentConfig` are the schema of the other
+sections: each declares its section, its key is its name (``directory``
+sets ``out_dir``), a field without a default is a required key, and a
+value is parsed and checked by its field's type, in the file or in a
+sweep (:func:`apply_override`). Two keys set no field: ``[model] d``,
+which must equal the length of ``theta0``, and ``[run] update``, which
+gates ``eta``: the gradient step needs ``update = gd``, and without it
 the step is eta = sigma2, the MLE update. Policy labels use only
 letters, digits, ``_``, ``.`` and ``-``, since they name output files
 and fill CSV fields.
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -59,55 +65,49 @@ class ConfigError(ValueError):
     """Config problem, with the offending line number where known."""
 
 
-_SECTION_KEYS = {
-    "model": {"d", "sigma2", "kappa2", "theta0"},
-    "run": {
-        "T",
-        "runs",
-        "master_seed",
-        "update",
-        "eta",
-        "max_draws_per_iter",
-        "divergence_cap",
-    },
-    "cost": {"c_g", "c_t"},
-    "output": {"directory", "emit_svg", "eval_samples"},
-}
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     label: str
-    family: str
-    params: dict[str, object]
+    spec: pol.PolicySpec
     line: int = 0
 
 
-@dataclass(frozen=True)
+def _key(section: str, default: object = MISSING, key: str | None = None):
+    """A field set by ``key``, the field's name unless given, in ``[section]``."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    sigma2: float
-    kappa2: float
-    theta0: np.ndarray
+    sigma2: float = _key("model")
+    kappa2: float = _key("model")
+    theta0: np.ndarray = _key("model")
     policies: tuple[PolicyConfig, ...]
-    T: int
-    runs: int
-    master_seed: int
-    eta: float | None = None
-    max_draws_per_iter: int | None = None
-    divergence_cap: float = 1e6
-    c_g: float = 0.0
-    c_t: float = 1.0
-    out_dir: str = "out"
-    emit_svg: bool = True
-    eval_samples: int = 10_000
+    T: int = _key("run")
+    runs: int = _key("run")
+    master_seed: int = _key("run")
+    eta: float | None = _key("run", None)
+    max_draws_per_iter: int | None = _key("run", None)
+    divergence_cap: float = _key("run", 1e6)
+    c_g: float = _key("cost")
+    c_t: float = _key("cost")
+    out_dir: str = _key("output", "out", key="directory")
+    emit_svg: bool = _key("output", True)
+    eval_samples: int = _key("output", 10_000)
 
     @property
     def d(self) -> int:
         return self.theta0.size
 
 
-# Config key -> type, for the keys that set an ExperimentConfig field.
+# (section, key) -> the ExperimentConfig field the key sets, and its type.
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+_KEYS = {
+    (f.metadata["section"], f.metadata["key"] or f.name): (f, _FIELD_TYPES[f.name])
+    for f in fields(ExperimentConfig)
+    if f.metadata
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 # Policy labels name output files and fill CSV fields unquoted.
 _LABEL = re.compile(r"[A-Za-z0-9_.-]+")
@@ -153,59 +153,76 @@ def _tokenize(text: str) -> tuple[dict[str, _Entry], dict[str, dict[str, _Entry]
     return top, sections, order
 
 
-def _as_int(entry: _Entry, key: str) -> int:
+# The value parsers take config text, and the numeric ones a sweep's
+# float too; each raises ValueError with the tail of its message.
+def _as_int(value: str | float) -> int:
     try:
-        return int(entry.value)
+        if isinstance(value, str) or value.is_integer():
+            return int(value)
     except ValueError:
-        raise ConfigError(f"line {entry.line}: {key} must be an integer, got {entry.value!r}") from None
+        pass
+    raise ValueError(f"must be an integer, got {value!r}")
 
 
-def _as_float(entry: _Entry, key: str) -> float:
+def _as_float(value: str | float) -> float:
     try:
-        v = float(entry.value)
+        v = float(value)
     except ValueError:
-        raise ConfigError(f"line {entry.line}: {key} must be a number, got {entry.value!r}") from None
+        raise ValueError(f"must be a number, got {value!r}") from None
     if not math.isfinite(v):
-        raise ConfigError(f"line {entry.line}: {key} must be finite")
+        raise ValueError("must be finite")
     return v
 
 
-def _as_bool(entry: _Entry, key: str) -> bool:
-    v = entry.value.lower()
+def _as_bool(text: str) -> bool:
+    v = text.lower()
     if v in ("true", "yes", "1"):
         return True
     if v in ("false", "no", "0"):
         return False
-    raise ConfigError(f"line {entry.line}: {key} must be true/false, got {entry.value!r}")
+    raise ValueError(f"must be true/false, got {text!r}")
 
 
-def _as_float_list(entry: _Entry, key: str) -> list[float]:
+def _as_vector(text: str) -> np.ndarray:
     try:
-        values = [float(tok) for tok in entry.value.split(",") if tok.strip()]
+        v = np.array([float(tok) for tok in text.split(",") if tok.strip()], dtype=np.float64)
     except ValueError:
-        raise ConfigError(f"line {entry.line}: {key} must be comma-separated numbers") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"line {entry.line}: {key} must be finite")
-    return values
+        raise ValueError("must be comma-separated numbers") from None
+    if not np.isfinite(v).all():
+        raise ValueError("must be finite")
+    if v.size == 0:
+        raise ValueError("must not be empty")
+    return v
 
 
-def _as_int_list(entry: _Entry, key: str) -> list[int]:
+def _as_int_tuple(text: str) -> tuple[int, ...]:
     try:
-        return [int(tok) for tok in entry.value.split(",") if tok.strip()]
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"line {entry.line}: {key} must be comma-separated integers") from None
+        raise ValueError("must be comma-separated integers") from None
 
 
 # Config value parser by the type of the field a key sets.
-_KEY_PARSERS = {
+_KEY_PARSERS: dict[object, Callable] = {
     int: _as_int,
     int | None: _as_int,
     float: _as_float,
     float | None: _as_float,
     bool: _as_bool,
-    str: lambda entry, key: entry.value,
-    tuple[int, ...]: lambda entry, key: tuple(_as_int_list(entry, key)),
+    str: str,
+    tuple[int, ...]: _as_int_tuple,
+    np.ndarray: _as_vector,
 }
+_NUMERIC = (int, int | None, float, float | None)
+
+
+def _parse(kind: object, value: str | float, where: str) -> object:
+    """``value`` parsed as ``kind``; ``where`` names the key and its
+    source in the message of a rejected value."""
+    try:
+        return _KEY_PARSERS[kind](value)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -215,28 +232,30 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "spec_version" not in top:
         raise ConfigError("line 1: missing required top-level key 'spec_version'")
-    version = _as_int(top["spec_version"], "spec_version")
+    entry = top["spec_version"]
+    version = _parse(int, entry.value, f"line {entry.line}: spec_version")
     if version != 1:
-        raise ConfigError(
-            f"line {top['spec_version'].line}: unsupported spec_version {version}"
-        )
+        raise ConfigError(f"line {entry.line}: unsupported spec_version {version}")
     for key, entry in top.items():
         if key != "spec_version":
             raise ConfigError(f"line {entry.line}: unexpected top-level key {key!r}")
 
-    for required in ("model", "run", "cost"):
-        if required not in sections:
-            raise ConfigError(f"missing required section [{required}]")
-
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     policies: list[PolicyConfig] = []
     labels: set[str] = set()
     for name, lineno in order:
-        if name in _SECTION_KEYS:
+        if name in _SECTIONS:
             for key, entry in sections[name].items():
-                if key not in _SECTION_KEYS[name]:
+                if (name, key) in (("model", "d"), ("run", "update")):
+                    continue  # keys that set no field, read below
+                if (name, key) not in _KEYS:
                     raise ConfigError(
                         f"line {entry.line}: unknown key {key!r} in section [{name}]"
                     )
+                f, kind = _KEYS[name, key]
+                values[f.name] = _parse(kind, entry.value, f"line {entry.line}: {key}")
+                lines[f.name] = entry.line
             continue
         tokens = name.split(None, 1)
         if tokens[0] != "policy":
@@ -256,28 +275,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if not policies:
         raise ConfigError("config defines no [policy LABEL] sections")
+    for (section, key), (f, _) in _KEYS.items():
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"section [{section}] is missing required key {key!r}")
 
-    model = sections["model"]
-    for req in ("sigma2", "kappa2", "theta0"):
-        if req not in model:
-            raise ConfigError(f"section [model] is missing required key {req!r}")
-    sigma2 = _as_float(model["sigma2"], "sigma2")
-    kappa2 = _as_float(model["kappa2"], "kappa2")
-    theta0 = np.array(_as_float_list(model["theta0"], "theta0"), dtype=np.float64)
-    if theta0.size == 0:
-        raise ConfigError(f"line {model['theta0'].line}: theta0 must not be empty")
+    model, runsec = sections.get("model", {}), sections.get("run", {})
     if "d" in model:
-        d = _as_int(model["d"], "d")
-        if d != theta0.size:
+        entry = model["d"]
+        d = _parse(int, entry.value, f"line {entry.line}: d")
+        if d != values["theta0"].size:
             raise ConfigError(
-                f"line {model['d'].line}: d={d} but theta0 has {theta0.size} coordinates"
+                f"line {entry.line}: d={d} but theta0 has {values['theta0'].size} coordinates"
             )
-
-    # [run], [cost] and [output] keys set the ExperimentConfig field of
-    # the same name (``directory`` sets ``out_dir``), parsed by its type.
-    # ``update`` sets no field: it only gates ``eta``.
-    runsec = sections["run"]
-    update = runsec.pop("update", _Entry("mle", 0))
+    update = runsec.get("update", _Entry("mle", 0))
     if update.value not in ("mle", "gd"):
         raise ConfigError(f"line {update.line}: update must be 'mle' or 'gd'")
     if "eta" in runsec and update.value != "gd":
@@ -285,33 +295,16 @@ def parse_config(text: str) -> ExperimentConfig:
             f"line {runsec['eta'].line}: eta sets the gradient step and needs update = gd "
             f"(without it the step is eta = sigma2, the MLE update)"
         )
-    scalars: dict[str, object] = {}
-    required = {"run": ("T", "runs", "master_seed"), "cost": ("c_g", "c_t"), "output": ()}
-    for section, keys in required.items():
-        entries = sections.get(section, {})
-        for req in keys:
-            if req not in entries:
-                raise ConfigError(f"section [{section}] is missing required key {req!r}")
-        for key, entry in entries.items():
-            field = "out_dir" if key == "directory" else key
-            scalars[field] = _KEY_PARSERS[_FIELD_TYPES[field]](entry, key)
-    cfg = ExperimentConfig(
-        sigma2=sigma2, kappa2=kappa2, theta0=theta0, policies=tuple(policies), **scalars
-    )
-    lines = {
-        key: entry.line
-        for name in ("model", "run", "output")
-        for key, entry in sections.get(name, {}).items()
-    }
-    _check_values(cfg, lambda key: f"line {lines[key]}: ")
+    cfg = ExperimentConfig(policies=tuple(policies), **values)
+    _check_values(cfg, lambda name: f"line {lines[name]}: ")
     return cfg
 
 
 def _check_values(cfg: ExperimentConfig, where: Callable[[str], str]) -> None:
-    """The value checks of a config, wherever its values came from: the
-    file, or a sweep's override. ``where(key)`` names the source of a
-    rejected key, as a message prefix. Every policy is materialized, so
-    family and parameter problems surface here, not at run time."""
+    """The range checks of a config, wherever its values came from: the
+    file, or a sweep's override. ``where(field)`` names the source of a
+    rejected field, as a message prefix. Every policy is materialized,
+    so horizon problems surface here, not at run time."""
     if cfg.sigma2 <= 0:
         raise ConfigError(f"{where('sigma2')}sigma2 must be positive")
     if cfg.kappa2 <= 0:
@@ -357,22 +350,24 @@ def _parse_policy(label: str, entries: dict[str, _Entry], lineno: int) -> Policy
                 f"line {entry.line}: unknown policy family key {key!r} for "
                 f"family {family!r} (allowed: {sorted(keys)})"
             )
-        params[key] = _KEY_PARSERS[keys[key][0]](entry, key)
+        params[key] = _parse(keys[key][0], entry.value, f"line {entry.line}: {key}")
     missing = {key for key, (_, required) in keys.items() if required} - set(params)
     if missing:
         raise ConfigError(
             f"line {lineno}: policy {label!r} (family {family!r}) is missing "
             f"required key(s) {sorted(missing)}"
         )
-    return PolicyConfig(label=label, family=family, params=params, line=lineno)
+    try:
+        spec = pol.FAMILIES[family](**params)
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: policy {label!r}: {exc}") from None
+    return PolicyConfig(label=label, spec=spec, line=lineno)
 
 
 def build_schedule(p: PolicyConfig, T: int) -> pol.Schedule:
     """Materialize a configured policy for horizon T."""
-    if p.family not in pol.FAMILIES:
-        raise ConfigError(f"policy {p.label!r}: unknown family {p.family!r}")
     try:
-        return pol.materialize(pol.FAMILIES[p.family](**p.params), T)
+        return pol.materialize(p.spec, T)
     except ValueError as exc:
         raise ConfigError(f"policy {p.label!r}: {exc}") from exc
 
@@ -386,16 +381,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _axis_value(axis: str, kind: object, value: float) -> int | float:
-    """``value`` as the type of the key that ``axis`` names; integer keys
-    reject non-integral values."""
-    if kind in (int, int | None):
-        if not float(value).is_integer():
-            raise ConfigError(f"axis {axis!r} takes integer values, got {value!r}")
-        return int(value)
-    if kind in (float, float | None):
-        return float(value)
-    raise ConfigError(f"axis {axis!r} does not name a numeric config key")
+def _axis_value(axis: str, kind: object, key: str, value: float) -> int | float:
+    if kind not in _NUMERIC:
+        raise ConfigError(f"axis {axis!r} does not name a numeric config key")
+    return _parse(kind, float(value), f"axis {axis!r}: {key}")
 
 
 def apply_override(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
@@ -403,27 +392,28 @@ def apply_override(cfg: ExperimentConfig, axis: str, value: float) -> Experiment
 
     ``axis`` is a dotted path: ``model.sigma2``, ``run.T``, ``cost.c_g``,
     ``output.eval_samples`` or ``policy.<label>.<key>``. Only numeric
-    keys can be swept, typed as the config field or the policy spec
-    field they set.
+    keys can be swept, and a value gets the checks that the same value
+    of the key gets in the config file.
     """
     parts = axis.split(".")
     if len(parts) == 2:
-        section, key = parts
-        kind = _FIELD_TYPES.get(key) if key in _SECTION_KEYS.get(section, ()) else None
-        swept = replace(cfg, **{key: _axis_value(axis, kind, value)})
+        f, kind = _KEYS.get((parts[0], parts[1]), (None, None))
+        new = _axis_value(axis, kind, parts[1], value)
+        swept = replace(cfg, **{f.name: new})
     elif len(parts) == 3 and parts[0] == "policy":
         _, label, key = parts
-        for i, p in enumerate(cfg.policies):
-            if p.label == label:
-                kind = pol.spec_fields(pol.FAMILIES[p.family]).get(key, (None, False))[0]
-                params = {**p.params, key: _axis_value(axis, kind, value)}
-                policies = list(cfg.policies)
-                policies[i] = replace(p, params=params)
-                swept = replace(cfg, policies=tuple(policies))
-                break
-        else:
+        p = next((p for p in cfg.policies if p.label == label), None)
+        if p is None:
             raise ConfigError(f"axis {axis!r}: no policy labeled {label!r}")
+        kind = pol.spec_fields(type(p.spec)).get(key, (None, False))[0]
+        new = _axis_value(axis, kind, key, value)
+        try:
+            spec = replace(p.spec, **{key: new})
+        except ValueError as exc:
+            raise ConfigError(f"axis {axis!r}: policy {label!r}: {exc}") from None
+        policies = tuple(replace(q, spec=spec) if q is p else q for q in cfg.policies)
+        swept = replace(cfg, policies=policies)
     else:
         raise ConfigError(f"axis {axis!r} is not of the form section.key or policy.label.key")
-    _check_values(swept, lambda key: f"axis {axis!r}: ")
+    _check_values(swept, lambda name: f"axis {axis!r}: ")
     return swept

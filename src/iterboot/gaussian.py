@@ -29,8 +29,8 @@ __all__ = [
 
 @dataclass
 class GaussianModel:
-    """N(theta, sigma2 * I_d). Only ``theta`` changes after construction,
-    and only by wholesale replacement during a run."""
+    """N(theta, sigma2 * I_d). ``theta`` is copied and checked at
+    construction; nothing changes it later (runs keep thetas in arrays)."""
 
     theta: np.ndarray
     sigma2: float

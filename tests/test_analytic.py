@@ -8,6 +8,7 @@ import pytest
 from iterboot.analytic import (
     MarginalLaw,
     brute_force_optimal,
+    continuous_optimum,
     cost_curve,
     expected_final_reward,
     marginal,
@@ -128,6 +129,18 @@ class TestOptimalSchedule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             optimal_schedule(10, 2, 1.0, 2.0, theta0=np.array([1.0]))
+
+    @pytest.mark.parametrize("sigma2, kappa2", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (1.0, -1.0)])
+    def test_rejects_bad_variances(self, sigma2, kappa2):
+        # nan and inf variances gave entries such as -2**63; zero and -1 passed.
+        for fn in (continuous_optimum, optimal_schedule):
+            with pytest.raises(ValueError, match="must be a positive finite real"):
+                fn(21, 3, sigma2, kappa2)
+
+    def test_rejects_non_finite_theta0(self):
+        # A nan theta0 used to skip the hypothesis check without a word.
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            optimal_schedule(21, 3, 1.0, 1.0, theta0=np.array([math.nan, 1.0]))
 
 
 class TestBruteForce:

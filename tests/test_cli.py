@@ -264,6 +264,18 @@ class TestOptimalPolicy:
         assert code == 1
         assert "--verify needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigma2", "nan", "--kappa2", "1"], "sigma2 must be a positive finite real"),
+            (["--sigma2", "inf", "--kappa2", "1"], "sigma2 must be a positive finite real"),
+            (["--sigma2", "1", "--kappa2", "1", "--theta0", "nan", "1"], "theta0 must be finite"),
+        ],
+    )
+    def test_non_finite_flags_are_validation_errors(self, capsys, flags, message):
+        assert main(["optimal-policy", "-C", "21", "-T", "3", *flags]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_u_values(self, small_cfg, tmp_path, capsys):
@@ -377,6 +389,25 @@ class TestSweep:
         # The same value in the config file is a validation error (exit 1).
         assert main(["sweep", *out_args(small_cfg, tmp_path), "--axis", axis, f"--values={value}"]) == 1
         assert f"axis {axis!r}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("cost.c_g", "nan"),
+            ("cost.c_g", "inf"),
+            ("cost.c_g", "-inf"),
+            ("cost.c_t", "nan"),
+            ("run.divergence_cap", "nan"),
+            ("run.eta", "nan"),
+            ("model.kappa2", "nan"),
+        ],
+    )
+    def test_non_finite_swept_value_is_validation_error(self, small_cfg, tmp_path, capsys, axis, value):
+        # The same value in the config file is a validation error (exit 1).
+        assert main(["sweep", *out_args(small_cfg, tmp_path), "--axis", axis, f"--values={value}"]) == 1
+        key = axis.split(".")[1]
+        assert f"axis {axis!r}: {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_zero_workers_is_validation_error(self, small_cfg, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Config parsing, validation errors with line numbers, overrides."""
 
+import math
 from dataclasses import MISSING, fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -12,6 +14,7 @@ from iterboot import policy as pol
 
 from iterboot.config import (
     ConfigError,
+    ExperimentConfig,
     apply_override,
     build_schedule,
     load_config,
@@ -77,7 +80,7 @@ class TestParse:
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(TOY.replace("n0 = 10", "n0 = 10  # samples at t=0"))
-        assert cfg.policies[0].params["n0"] == 10
+        assert cfg.policies[0].spec.n0 == 10
 
     def test_explicit_family(self):
         text = TOY.replace("family = exponential\nn0 = 10\nu = 0.5", "family = explicit\nschedule = 4, 5, 6")
@@ -198,6 +201,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="entries but T"):
             parse_config(text)
 
+    def test_bad_policy_parameter_names_policy_line(self):
+        text = TOY.replace("n0 = 10\nu = 0.5\n\n[policy const]", "n0 = 0\nu = 0.5\n\n[policy const]")
+        line = text.splitlines().index("[policy exp]") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: policy 'exp': n0 must be an integer >= 1"):
+            parse_config(text)
+
     def test_gd_update_accepted(self):
         cfg = parse_config(TOY.replace("master_seed = 20240817", "master_seed = 1\nupdate = gd\neta = 0.5"))
         assert cfg.eta == 0.5
@@ -213,6 +222,12 @@ class TestLoad(object):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")), ids=lambda p: p.name
+    )
+    def test_committed_config_parses(self, path):
+        assert load_config(path).policies
+
 
 class TestOverride:
     def test_model_key(self):
@@ -225,14 +240,14 @@ class TestOverride:
 
     def test_policy_key(self):
         cfg = apply_override(parse_config(TOY), "policy.exp.u", 1.0)
-        assert cfg.policies[0].params["u"] == 1.0
+        assert cfg.policies[0].spec.u == 1.0
         sched = build_schedule(cfg.policies[0], 3)
         assert sched.n == (10, 20, 40)
 
     def test_policy_int_key_stays_int(self):
         cfg = apply_override(parse_config(TOY), "policy.exp.n0", 20.0)
-        assert cfg.policies[0].params["n0"] == 20
-        assert isinstance(cfg.policies[0].params["n0"], int)
+        assert cfg.policies[0].spec.n0 == 20
+        assert isinstance(cfg.policies[0].spec.n0, int)
 
     @pytest.mark.parametrize("axis, value", [("run.T", 2.7), ("policy.exp.n0", 10.9)])
     def test_integer_key_rejects_fraction(self, axis, value):
@@ -250,6 +265,113 @@ class TestOverride:
     def test_malformed_axis(self):
         with pytest.raises(ConfigError, match="section.key"):
             apply_override(parse_config(TOY), "u", 3.0)
+
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("cost.c_g", math.nan),
+            ("cost.c_g", math.inf),
+            ("cost.c_g", -math.inf),
+            ("cost.c_t", math.nan),
+            ("run.divergence_cap", math.nan),
+            ("run.eta", math.nan),
+            ("model.kappa2", math.nan),
+        ],
+    )
+    def test_non_finite_value_rejected(self, axis, value):
+        with pytest.raises(ConfigError, match=rf"axis '{axis}': \w+ must be finite"):
+            apply_override(parse_config(TOY), axis, value)
+
+
+# Every numeric key of the config sections, as a sweep axis; the
+# schema test below keeps the list complete.
+NUMERIC_AXES = [
+    "model.sigma2",
+    "model.kappa2",
+    "run.T",
+    "run.runs",
+    "run.master_seed",
+    "run.eta",
+    "run.max_draws_per_iter",
+    "run.divergence_cap",
+    "cost.c_g",
+    "cost.c_t",
+    "output.eval_samples",
+]
+POLICY_NUMERIC_FIELDS = [
+    (family, f.name)
+    for family, spec_cls in sorted(pol.FAMILIES.items())
+    for f in fields(spec_cls)
+    if get_type_hints(spec_cls)[f.name] in (int, float)
+]
+PARITY_VALUES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 2.7, 3.0]
+
+
+def test_schema_declares_every_key():
+    kinds = get_type_hints(ExperimentConfig)
+    keys = {
+        f"{f.metadata['section']}.{f.metadata['key'] or f.name}": kinds[f.name]
+        for f in fields(ExperimentConfig)
+        if f.metadata
+    }
+    assert set(keys) == {*NUMERIC_AXES, "model.theta0", "output.directory", "output.emit_svg"}
+    numeric = (int, float, int | None, float | None)
+    assert {key for key, kind in keys.items() if kind in numeric} == set(NUMERIC_AXES)
+
+
+def _parity_config(sections):
+    lines = ["spec_version = 1"]
+    for name, keys in sections.items():
+        lines += [f"[{name}]", *(f"{key} = {value}" for key, value in keys.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _parity_sections(family="exponential"):
+    spec_cls = pol.FAMILIES[family]
+    kinds = get_type_hints(spec_cls)
+    policy = {"family": family}
+    for f in fields(spec_cls):
+        if f.default is MISSING:
+            policy[f.name] = 2 if kinds[f.name] is int else 0.5
+    return {
+        "model": {"sigma2": 1.0, "kappa2": 2.0, "theta0": "1.0, 1.0"},
+        "policy p": policy,
+        "run": {"T": 3, "runs": 4, "master_seed": 1, "update": "gd"},
+        "cost": {"c_g": 0.5, "c_t": 1.0},
+        "output": {},
+    }
+
+
+def _rejects(fn):
+    try:
+        fn()
+    except ConfigError:
+        return True
+    return False
+
+
+def _assert_parity(sections, section, key, axis):
+    base = parse_config(_parity_config(sections))
+    differ = []
+    for value in PARITY_VALUES:
+        sections[section][key] = f"{value:g}"
+        in_file = _rejects(lambda: parse_config(_parity_config(sections)))
+        in_sweep = _rejects(lambda: apply_override(base, axis, value))
+        if in_file != in_sweep:
+            differ.append((value, in_file, in_sweep))
+    assert differ == [], "(value, file rejects, sweep rejects)"
+
+
+@pytest.mark.parametrize("axis", NUMERIC_AXES)
+def test_sweep_value_checked_as_in_file(axis):
+    # update = gd, so that eta in the file passes the gate a sweep has not.
+    section, key = axis.split(".")
+    _assert_parity(_parity_sections(), section, key, axis)
+
+
+@pytest.mark.parametrize("family, key", POLICY_NUMERIC_FIELDS)
+def test_swept_policy_value_checked_as_in_file(family, key):
+    _assert_parity(_parity_sections(family), "policy p", key, f"policy.p.{key}")
 
 
 def _field_values(kind, T):
