@@ -91,40 +91,41 @@ def _run_config(cfg: ExperimentConfig, schedule) -> engine.RunConfig:
     )
 
 
-def _pool(workers: int):
-    """A context giving the command's one process pool, started through
-    ``engine.ProcessPoolExecutor``, or ``None`` when it runs serially."""
-    if workers > 1:
-        return engine.ProcessPoolExecutor(max_workers=workers)
-    return contextlib.nullcontext()
-
-
 def _simulate_into(
-    cfg: ExperimentConfig, out_dir: Path, workers: int, pool, traces: int = 0
-) -> dict:
-    """Run every configured policy, on ``pool`` when it is not None;
-    returns the status summary. The same master seed drives every policy
-    (common random numbers), which only sharpens cross-policy comparisons."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary: dict[str, dict[str, int]] = {}
-    series = []
-    for p in cfg.policies:
-        schedule = build_schedule(p, cfg.T)
-        run_cfg = _run_config(cfg, schedule)
-        agg = engine.monte_carlo(run_cfg, cfg.runs, workers=workers, executor=pool, traces=traces)
-        write_agg_csv(out_dir / f"{p.label}_agg.csv", aggregate_rows(p.label, agg))
-        for i, trace in enumerate(agg.traces):
-            write_text_atomic(out_dir / f"{p.label}_run{i}.csv", run_trace_csv_text(trace))
-        summary[p.label] = {
-            "completed": agg.runs_completed,
-            "diverged": agg.runs_diverged,
-            "draw_cap_hit": agg.runs_draw_capped,
-            "clipped_rewards": agg.clipped_rewards,
-        }
-        series.append(Series(p.label, agg.mean_cum_cost, agg.mean_gap, agg.se_gap))
-    if cfg.emit_svg:
-        write_text_atomic(out_dir / "gap_vs_cost.svg", render_gap_vs_cost(series))
-    return summary
+    points: list[tuple[ExperimentConfig, Path]], workers: int, traces: int = 0
+) -> list[dict]:
+    """Run every configured policy of every ``(cfg, out_dir)`` point as
+    one batch of Monte Carlo jobs, on one process pool when ``workers > 1``,
+    and write each point's files as its aggregates arrive, while the pool
+    runs the later jobs' blocks; returns each point's status summary. The
+    same master seed drives every policy (common random numbers), which
+    only sharpens cross-policy comparisons."""
+    jobs = [
+        (_run_config(cfg, build_schedule(p, cfg.T)), cfg.runs) for cfg, _ in points for p in cfg.policies
+    ]
+    summaries = []
+    # Closing the generator on an error cancels the blocks still queued.
+    with contextlib.closing(engine.monte_carlo_jobs(jobs, workers, traces=traces)) as aggs:
+        for cfg, out_dir in points:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            summary: dict[str, dict[str, int]] = {}
+            series = []
+            for p in cfg.policies:
+                agg = next(aggs)
+                write_agg_csv(out_dir / f"{p.label}_agg.csv", aggregate_rows(p.label, agg))
+                for i, trace in enumerate(agg.traces):
+                    write_text_atomic(out_dir / f"{p.label}_run{i}.csv", run_trace_csv_text(trace))
+                summary[p.label] = {
+                    "completed": agg.runs_completed,
+                    "diverged": agg.runs_diverged,
+                    "draw_cap_hit": agg.runs_draw_capped,
+                    "clipped_rewards": agg.clipped_rewards,
+                }
+                series.append(Series(p.label, agg.mean_cum_cost, agg.mean_gap, agg.se_gap))
+            if cfg.emit_svg:
+                write_text_atomic(out_dir / "gap_vs_cost.svg", render_gap_vs_cost(series))
+            summaries.append(summary)
+    return summaries
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -134,8 +135,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     try:
-        with _pool(args.workers) as pool:
-            summary = _simulate_into(cfg, Path(cfg.out_dir), args.workers, pool, args.traces)
+        [summary] = _simulate_into([(cfg, Path(cfg.out_dir))], args.workers, args.traces)
     except (RuntimeError, ValueError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     print(json.dumps({"command": "simulate", "out": cfg.out_dir, "status": summary}, indent=2))
@@ -221,26 +221,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = Path(cfg.out_dir)
     axis_slug = args.axis.replace(".", "_")
     summary_lines = ["axis,value,policy_label,final_T,mean_gap,se_gap"]
+    sub_dirs = [base / f"sweep_{axis_slug}_{value:g}" for value in values]
     try:
-        with _pool(args.workers) as pool:
-            for value, sub_cfg in zip(values, swept):
-                sub_dir = base / f"sweep_{axis_slug}_{value:g}"
-                _simulate_into(sub_cfg, sub_dir, args.workers, pool)
-                for p in sub_cfg.policies:
-                    rows = read_agg_csv(sub_dir / f"{p.label}_agg.csv")
-                    final = max(rows, key=lambda r: r.T)
-                    summary_lines.append(
-                        ",".join(
-                            [
-                                args.axis,
-                                f"{value:g}",
-                                p.label,
-                                str(final.T),
-                                format_float(final.mean_gap),
-                                format_float(final.se_gap),
-                            ]
-                        )
+        _simulate_into(list(zip(swept, sub_dirs)), args.workers)
+        for value, sub_cfg, sub_dir in zip(values, swept, sub_dirs):
+            for p in sub_cfg.policies:
+                rows = read_agg_csv(sub_dir / f"{p.label}_agg.csv")
+                final = max(rows, key=lambda r: r.T)
+                summary_lines.append(
+                    ",".join(
+                        [
+                            args.axis,
+                            f"{value:g}",
+                            p.label,
+                            str(final.T),
+                            format_float(final.mean_gap),
+                            format_float(final.se_gap),
+                        ]
                     )
+                )
     except (RuntimeError, ValueError) as exc:
         return _fail(str(exc), EXIT_RUNTIME)
     base.mkdir(parents=True, exist_ok=True)

@@ -317,6 +317,10 @@ def _check_values(cfg: ExperimentConfig, where: Callable[[str], str]) -> None:
         raise ConfigError(
             f"{where('runs')}runs must be >= 2 (standard errors need at least two completed runs)"
         )
+    try:
+        pol.CostModel(cfg.c_g, cfg.c_t)
+    except ValueError as exc:
+        raise ConfigError(f"{where('c_g' if cfg.c_g < 0 else 'c_t')}{exc}") from None
     if cfg.divergence_cap <= 0:
         raise ConfigError(f"{where('divergence_cap')}divergence_cap must be positive")
     if cfg.eval_samples < 1:

@@ -8,16 +8,19 @@ whether runs execute serially or in a process pool. Runs execute in
 lockstep blocks that share each selection step's reward evaluation and
 keep their thetas and records in block-wide arrays; every run keeps its
 own generator and draws exactly what it would draw alone, so neither
-the block size nor the grouping changes any output.
+the block size nor the grouping changes any output. A command's Monte
+Carlo jobs go to :func:`monte_carlo_jobs` together: with a pool, every
+block of every job is queued before the first job is reduced, so the
+workers never wait for the caller between jobs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from typing import Callable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "select_batch",
     "run",
     "monte_carlo",
+    "monte_carlo_jobs",
     "mix64",
     "run_seed",
 ]
@@ -201,7 +205,7 @@ class RunConfig:
 # by the batch it fills.
 #
 # Runs move through each iteration in lockstep blocks of _BLOCK_RUNS runs
-# (a pooled block may hold more, see monte_carlo). In every draw round a
+# (a pooled block may hold more, see monte_carlo_jobs). In every draw round a
 # block's pending runs are split, in order, into groups whose chunks sum
 # to at most _GROUP_ROWS rows. A group owns one row buffer and one uniform
 # buffer: each run fills its slice of both from its own generator, rows
@@ -554,7 +558,7 @@ def _mc_expected_reward(
 
 
 def _mc_block(cfg: RunConfig, seeds: list[int], traces: int) -> _Block:
-    """A block of ``monte_carlo`` that keeps the theta records of its
+    """A block of a Monte Carlo job that keeps the theta records of its
     first ``traces`` runs only, which are all its traces read."""
     block = _run_block(cfg, seeds)
     block.theta = block.theta[: max(traces, 0)].copy()
@@ -572,32 +576,81 @@ def monte_carlo(
     run_seed(cfg.seed, i). Diverged / draw-capped runs are excluded from
     the statistics and reported in the counts; the full traces of the
     first ``traces`` runs come back too. Requires at least two
-    completed runs. Runs execute in lockstep blocks; ``workers > 1``
-    spreads the blocks over a process pool, ``executor`` when one is
-    given (``workers`` is then its width), else a pool started for this
-    call. Results are reduced in run-index order either way, so the
-    aggregate does not depend on the execution mode.
+    completed runs. The one-job case of :func:`monte_carlo_jobs`, which
+    says how the runs execute; the aggregate does not depend on it.
     """
-    if runs < 2:
-        raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
+    (agg,) = monte_carlo_jobs([(cfg, runs)], workers, executor, traces)
+    return agg
+
+
+def monte_carlo_jobs(
+    jobs: Iterable[tuple[RunConfig, int]],
+    workers: int = 1,
+    executor: Executor | None = None,
+    traces: int = 0,
+) -> Iterator[MonteCarloTrace]:
+    """The :func:`monte_carlo` aggregate of each ``(cfg, runs)`` job, in
+    job order, each with the traces of its first ``traces`` runs.
+
+    Runs execute in lockstep blocks. Serially (``workers`` 1, no
+    ``executor``) a job's blocks hold _BLOCK_RUNS runs and run when its
+    aggregate is asked for. ``workers > 1`` spreads the blocks of every
+    job over one process pool, ``executor`` when one is given
+    (``workers`` is then its width), else a pool started for these jobs.
+    Every block of every job is queued before any result is awaited, so
+    the pool stays busy while the caller handles each aggregate as it
+    comes. Blocks are reduced in run-index order either way, so no
+    aggregate depends on the execution mode. If a job fails, or the
+    caller stops early, the blocks still queued are cancelled.
+    """
+    jobs = list(jobs)
+    for _, runs in jobs:
+        if runs < 2:
+            raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
     if executor is None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return monte_carlo(cfg, runs, workers, pool, traces)
-    seeds = [run_seed(cfg.seed, i) for i in range(runs)]
+            yield from monte_carlo_jobs(jobs, workers, pool, traces)
+        return
+    if executor is None:
+        for cfg, runs in jobs:
+            blocks = [_mc_block(*a) for a in _block_args(cfg, runs, _BLOCK_RUNS, traces)]
+            yield _reduce(cfg, blocks, traces)
+        return
     # A pooled block takes more than _BLOCK_RUNS runs while its batch
     # buffer, the largest n_t rows per run, stays within _GROUP_ROWS rows,
     # which spreads each block's array work and pool task over more runs.
-    # A pool gets about two blocks per worker or more, to keep its workers
-    # evenly loaded.
-    size = _BLOCK_RUNS
-    if executor is not None:
-        size = min(max(size, _GROUP_ROWS // max(cfg.schedule.n)), max(1, runs // (2 * workers)))
-    starts = range(0, runs, size)
-    mapper = map if executor is None else executor.map
-    blocks = list(
-        mapper(_mc_block, repeat(cfg), [seeds[i : i + size] for i in starts], [traces - i for i in starts])
-    )
+    # The jobs together get about two blocks per worker or more, to keep
+    # the workers evenly loaded to the end.
+    most = max(1, sum(runs for _, runs in jobs) // (2 * workers))
+    queued: list[tuple[RunConfig, list[Future]]] = []
+    try:
+        for cfg, runs in jobs:
+            size = min(max(_BLOCK_RUNS, _GROUP_ROWS // max(cfg.schedule.n)), most)
+            args = _block_args(cfg, runs, size, traces)
+            queued.append((cfg, [executor.submit(_mc_block, *a) for a in args]))
+        for cfg, futures in queued:
+            yield _reduce(cfg, [f.result() for f in futures], traces)
+            futures.clear()  # the futures hold the job's block arrays
+    finally:
+        # A no-op once every block is done; on an error or an early stop
+        # the blocks not yet started are dropped, so the pool can shut
+        # down after the running ones.
+        for _, futures in queued:
+            for f in futures:
+                f.cancel()
 
+
+def _block_args(
+    cfg: RunConfig, runs: int, size: int, traces: int
+) -> list[tuple[RunConfig, list[int], int]]:
+    """The :func:`_mc_block` arguments of a job's blocks of ``size`` runs."""
+    seeds = [run_seed(cfg.seed, i) for i in range(runs)]
+    return [(cfg, seeds[i : i + size], traces - i) for i in range(0, runs, size)]
+
+
+def _reduce(cfg: RunConfig, blocks: list[_Block], traces: int) -> MonteCarloTrace:
+    """The aggregate of a job's blocks, taken in run-index order, with the
+    traces of its first ``traces`` runs."""
     T = len(cfg.schedule.n)
     status = [s for b in blocks for s in b.status]
     ok = np.array([s == COMPLETED for s in status])
@@ -613,6 +666,7 @@ def monte_carlo(
     draws = np.concatenate([b.N for b in blocks])[ok].astype(np.float64)
     r_star = cfg.resolve_r_star()
     gap = r_star - reward
+    size = len(blocks[0].seeds)
 
     def _se(a: np.ndarray) -> np.ndarray:
         return a.std(axis=0, ddof=1) / math.sqrt(m)
@@ -633,5 +687,5 @@ def monte_carlo(
         runs_draw_capped=status.count(DRAW_CAP_HIT),
         r_star=r_star,
         clipped_rewards=int(sum(b.clipped.sum() for b in blocks)),
-        traces=tuple(_trace(cfg, blocks[j // size], j % size) for j in range(min(traces, runs))),
+        traces=tuple(_trace(cfg, blocks[j // size], j % size) for j in range(min(traces, len(status)))),
     )

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, files, determinism, exit codes."""
 
 import json
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -39,6 +40,24 @@ c_t = 1.0
 [output]
 emit_svg = true
 """
+
+
+# GD with eta != sigma2, billed generation, and a run count that is a
+# multiple of no block size.
+POOLED = (
+    SMALL.replace("runs = 40", "runs = 37\nupdate = gd\neta = 0.6")
+    .replace("c_g = 0.0", "c_g = 0.5")
+)
+
+
+def assert_same_files(want_dir, got_dir, count):
+    """``got_dir`` holds the same ``count`` files as ``want_dir``, byte for
+    byte, at any depth."""
+    names = sorted(str(p.relative_to(want_dir)) for p in want_dir.rglob("*") if p.is_file())
+    assert len(names) == count
+    assert sorted(str(p.relative_to(got_dir)) for p in got_dir.rglob("*") if p.is_file()) == names
+    for name in names:
+        assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
 
 
 @pytest.fixture
@@ -100,6 +119,16 @@ class TestSimulate:
         assert main(["simulate", *out_args(small_cfg, tmp_path), "--workers", "2"]) == 0
         assert (tmp_path / "out" / "exp_agg.csv").read_bytes() == serial
 
+    def test_pooled_simulate_writes_the_serial_bytes(self, tmp_path):
+        # One policy, so the pool's blocks hold 37 // (2 * 2) = 9 runs and
+        # both traces come from the first block.
+        path = tmp_path / "one.cfg"
+        path.write_text(POOLED.replace("[policy const]\nfamily = budget_constant\nn0 = 5\nu = 0.5\n", ""))
+        for workers in ("1", "2"):
+            args = ["--config", str(path), "--out", str(tmp_path / workers), "--traces", "2"]
+            assert main(["simulate", *args, "--workers", workers]) == 0
+        assert_same_files(tmp_path / "1", tmp_path / "2", 4)
+
     @pytest.mark.parametrize(
         "flag, value", [("--workers", "0"), ("--workers", "-3"), ("--traces", "-2")]
     )
@@ -118,7 +147,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("theta0 = 1.0, 1.0", "theta0 = nan, 1.0"), ("[policy const]", "[policy con,stant]")],
+        [
+            ("theta0 = 1.0, 1.0", "theta0 = nan, 1.0"),
+            ("[policy const]", "[policy con,stant]"),
+            ("c_g = 0.0", "c_g = -1"),
+            ("c_t = 1.0", "c_t = -1"),
+            ("c_t = 1.0", "c_t = 0"),
+        ],
     )
     def test_bad_input_is_validation_error_with_line(self, tmp_path, capsys, old, new):
         text = SMALL.replace(old, new)
@@ -314,6 +349,25 @@ class TestSweep:
         assert main(["sweep", *args]) == 0
         assert len(starts) == 2
 
+    def test_pooled_sweep_writes_the_serial_bytes(self, tmp_path):
+        # Serial blocks hold 16 runs. The pool's hold 16 for exp at u = 3
+        # (largest n_t 1280), so that job splits 16 + 16 + 5, and all 37
+        # runs for the other jobs.
+        path = tmp_path / "pooled.cfg"
+        path.write_text(POOLED)
+        for workers in ("1", "2"):
+            args = ["--config", str(path), "--out", str(tmp_path / workers)]
+            assert main(["sweep", *args, "--axis", "policy.exp.u", "--values", "0.5,3", "--workers", workers]) == 0
+        assert_same_files(tmp_path / "1", tmp_path / "2", 1 + 2 * 3)
+
+    def test_failed_pooled_sweep_leaves_no_worker(self, small_cfg, tmp_path, capsys):
+        # Every run of the first point diverges at its first update.
+        args = ["--axis", "run.divergence_cap", "--values", "1e-9,1e6", "--workers", "2"]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 2
+        assert "all Monte Carlo runs failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "sweep_run_divergence_cap_1e+06").exists()
+
     def test_constant_floor_scaling_visible(self, tmp_path):
         # Larger constant batches push the final gap monotonically down.
         text = SMALL.replace(
@@ -383,6 +437,9 @@ class TestSweep:
             ("output.eval_samples", "0", "eval_samples must be >= 1"),
             ("run.divergence_cap", "-1", "divergence_cap must be positive"),
             ("run.max_draws_per_iter", "3", "max_draws_per_iter=3 is below the largest n_t"),
+            ("cost.c_g", "0.5,-1", "cost coefficients must be non-negative"),
+            ("cost.c_t", "-1", "cost coefficients must be non-negative"),
+            ("cost.c_t", "0", "at least one cost coefficient must be positive"),
         ],
     )
     def test_swept_value_gets_the_file_checks(self, small_cfg, tmp_path, capsys, axis, value, message):

@@ -183,6 +183,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"line {lineno}: {message}"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("c_g = 0.0", "c_g = -1", "cost coefficients must be non-negative"),
+            ("c_t = 1.0", "c_t = -1", "cost coefficients must be non-negative"),
+            ("c_t = 1.0", "c_t = 0", "at least one cost coefficient must be positive"),
+        ],
+    )
+    def test_bad_cost_names_line(self, old, new, message):
+        text = TOY.replace(old, new)
+        line = text.splitlines().index(new) + 1
+        with pytest.raises(ConfigError, match=f"line {line}: {message}"):
+            parse_config(text)
+
     def test_non_finite_theta0_names_line(self):
         with pytest.raises(ConfigError, match="line 7: theta0 must be finite"):
             parse_config(TOY.replace("theta0 = 1.0, 1.0", "theta0 = nan, 1.0"))

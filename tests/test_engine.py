@@ -1,6 +1,7 @@
 """Selection step, run execution, determinism, Monte Carlo aggregation."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -423,6 +424,39 @@ class TestMonteCarloExtras:
             assert (got.seed, got.status) == (want.seed, want.status)
             assert run_trace_csv_text(got) == run_trace_csv_text(want)
         assert monte_carlo(cfg, 37).traces == ()
+
+
+class TestMonteCarloJobs:
+    def test_pooled_jobs_equal_their_serial_aggregates(self):
+        from test_lockstep import CASES, RUNS, assert_same_aggregate
+
+        # One queue for jobs of every model and stop kind; its blocks are
+        # sized against all 5 * 37 runs.
+        jobs = [(cfg, RUNS) for _, cfg in sorted(CASES.items())]
+        got = list(engine.monte_carlo_jobs(jobs, workers=2))
+        assert len(got) == len(jobs)
+        for agg, (cfg, runs) in zip(got, jobs):
+            assert_same_aggregate(agg, monte_carlo(cfg, runs))
+
+    def test_failed_job_cancels_queued_blocks(self):
+        submitted = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, *args):
+                submitted.append(super().submit(*args))
+                return submitted[-1]
+
+        failing = toy_config(Schedule((5, 5)), seed=3, divergence_cap=1e-9)
+        later = toy_config(Schedule((10, 20, 40)), seed=4)
+        # Blocks of at most 602 // (2 * 2) = 150 runs: one for the failing
+        # job, then two for each later job.
+        with RecordingPool(max_workers=1) as pool:
+            jobs = engine.monte_carlo_jobs([(failing, 2)] + [(later, 200)] * 3, 2, pool)
+            with pytest.raises(RuntimeError, match="all Monte Carlo runs failed"):
+                next(jobs)
+            assert len(submitted) == 7
+            assert sum(f.cancelled() for f in submitted) >= 4
+        assert all(f.done() for f in submitted)
 
 
 class TestBlockBatchLayout:
