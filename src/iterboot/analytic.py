@@ -81,11 +81,18 @@ def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
     return tuple(int(v) for v in schedule)
 
 
+def _growth(rho: float, k: float) -> float:
+    """(1+rho)**k, or inf where that exceeds the float range; the terms
+    it divides then vanish, as they do in exact arithmetic."""
+    try:
+        return (1.0 + rho) ** k
+    except OverflowError:
+        return math.inf
+
+
 def _sigma2_T(ns: Sequence[int], sigma2: float, rho: float) -> float:
     T = len(ns)
-    return sigma2 * sum(
-        1.0 / (n * (1.0 + rho) ** (2 * (T - t) - 1)) for t, n in enumerate(ns)
-    )
+    return sigma2 * sum(1.0 / (n * _growth(rho, 2 * (T - t) - 1)) for t, n in enumerate(ns))
 
 
 def marginal(
@@ -105,7 +112,7 @@ def marginal(
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
     rho = sigma2 / kappa2
     T = len(ns)
-    mu = theta0 / (1.0 + rho) ** T
+    mu = theta0 / _growth(rho, T)
     return MarginalLaw(mu=mu, sigma2_T=_sigma2_T(ns, sigma2, rho), T=T, d=theta0.size)
 
 
@@ -121,12 +128,13 @@ def expected_final_reward(law: MarginalLaw, sigma2: float, kappa2: float) -> flo
 
 def _hypothesis_bound(T: int, d: int, sigma2: float, kappa2: float) -> float:
     rho = sigma2 / kappa2
-    return (1.0 + rho) ** T * math.sqrt(d * (sigma2 + kappa2))
+    return _growth(rho, T) * math.sqrt(d * (sigma2 + kappa2))
 
 
 def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarray:
     """Real-valued budget-optimal counts n_t = C*(1+rho)^t / sum_k (1+rho)^k.
-    Raises ``ValueError`` for T < 1, C < T, or sigma2, kappa2 not positive finite."""
+    Raises ``ValueError`` for T < 1, C < T, sigma2, kappa2 not positive
+    finite, or weights C*(1+rho)^t beyond the float range."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if C < T:
@@ -135,8 +143,12 @@ def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarr
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite real, got {value!r}")
     rho = sigma2 / kappa2
-    weights = np.array([(1.0 + rho) ** t for t in range(T)])
-    return C * weights / weights.sum()
+    with np.errstate(over="ignore"):
+        weights = np.array([_growth(rho, t) for t in range(T)])
+        total = weights.sum()
+        if not math.isfinite(C * total):
+            raise ValueError(f"weights C*(1+rho)**t overflow a float at horizon T={T}")
+    return C * weights / total
 
 
 def optimal_schedule(
@@ -202,7 +214,7 @@ def brute_force_optimal(
             f"and T <= {BRUTE_FORCE_MAX_ITERS}, got C={C}, T={T}"
         )
     rho = sigma2 / kappa2
-    w = np.array([sigma2 / (1.0 + rho) ** (2 * (T - t) - 1) for t in range(T)])
+    w = np.array([sigma2 / _growth(rho, 2 * (T - t) - 1) for t in range(T)])
     if T == 1:
         comps = np.array([[C]])
     else:
@@ -305,7 +317,7 @@ def cost_curve(
         running += cost.c_g * expected_draws + cost.c_t * n_t
         # One-step recursion for the law of theta^(t+1).
         mu = mu / (1.0 + rho)
-        sig2 = sig2 / (1.0 + rho) ** 2 + sigma2 / (n_t * (1.0 + rho))
+        sig2 = sig2 / _growth(rho, 2) + sigma2 / (n_t * (1.0 + rho))
         rewards[t] = expected_final_reward(
             MarginalLaw(mu=mu, sigma2_T=sig2, T=t + 1, d=d), sigma2, kappa2
         )

@@ -11,8 +11,10 @@ Subcommands:
 * ``compare``        join simulated and analytic CSVs and report the worst
                      gap disagreement in standard-error units.
 
-Exit codes: 0 success, 1 validation problem, 2 runtime failure. All
-state flows through flags and the config file; no environment variables.
+Each ``cmd_*`` returns the text it prints on stdout, or raises; only
+:func:`main` turns the outcome into an exit code: 0 success, 1 bad input
+(:class:`ConfigError`), 2 runtime failure. All state flows through flags
+and the config file; no environment variables.
 """
 
 from __future__ import annotations
@@ -53,17 +55,14 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _apply_flag_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "out", None):
+def _load(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file, with the --out, --seed and --svg flags applied."""
+    cfg = load_config(args.config)
+    if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "svg", None) is not None:
+    if args.svg is not None:
         cfg = replace(cfg, emit_svg=args.svg)
     return cfg
 
@@ -93,65 +92,53 @@ def _run_config(cfg: ExperimentConfig, schedule) -> engine.RunConfig:
 
 def _simulate_into(
     points: list[tuple[ExperimentConfig, Path]], workers: int, traces: int = 0
-) -> list[dict]:
+) -> list[dict[str, engine.MonteCarloTrace]]:
     """Run every configured policy of every ``(cfg, out_dir)`` point as
     one batch of Monte Carlo jobs, on one process pool when ``workers > 1``,
     and write each point's files as its aggregates arrive, while the pool
-    runs the later jobs' blocks; returns each point's status summary. The
-    same master seed drives every policy (common random numbers), which
-    only sharpens cross-policy comparisons."""
+    runs the later jobs' blocks; returns each point's aggregates by policy
+    label. The same master seed drives every policy (common random
+    numbers), which only sharpens cross-policy comparisons."""
     jobs = [
         (_run_config(cfg, build_schedule(p, cfg.T)), cfg.runs) for cfg, _ in points for p in cfg.policies
     ]
-    summaries = []
+    results = []
     # Closing the generator on an error cancels the blocks still queued.
     with contextlib.closing(engine.monte_carlo_jobs(jobs, workers, traces=traces)) as aggs:
         for cfg, out_dir in points:
             out_dir.mkdir(parents=True, exist_ok=True)
-            summary: dict[str, dict[str, int]] = {}
-            series = []
-            for p in cfg.policies:
-                agg = next(aggs)
-                write_agg_csv(out_dir / f"{p.label}_agg.csv", aggregate_rows(p.label, agg))
+            by_label = {p.label: next(aggs) for p in cfg.policies}
+            for label, agg in by_label.items():
+                write_agg_csv(out_dir / f"{label}_agg.csv", aggregate_rows(label, agg))
                 for i, trace in enumerate(agg.traces):
-                    write_text_atomic(out_dir / f"{p.label}_run{i}.csv", run_trace_csv_text(trace))
-                summary[p.label] = {
-                    "completed": agg.runs_completed,
-                    "diverged": agg.runs_diverged,
-                    "draw_cap_hit": agg.runs_draw_capped,
-                    "clipped_rewards": agg.clipped_rewards,
-                }
-                series.append(Series(p.label, agg.mean_cum_cost, agg.mean_gap, agg.se_gap))
+                    write_text_atomic(out_dir / f"{label}_run{i}.csv", run_trace_csv_text(trace))
             if cfg.emit_svg:
+                series = [Series(label, a.mean_cum_cost, a.mean_gap, a.se_gap) for label, a in by_label.items()]
                 write_text_atomic(out_dir / "gap_vs_cost.svg", render_gap_vs_cost(series))
-            summaries.append(summary)
-    return summaries
+            results.append(by_label)
+    return results
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        _check_counts(args)
-        cfg = _apply_flag_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    try:
-        [summary] = _simulate_into([(cfg, Path(cfg.out_dir))], args.workers, args.traces)
-    except (RuntimeError, ValueError) as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    print(json.dumps({"command": "simulate", "out": cfg.out_dir, "status": summary}, indent=2))
-    return EXIT_OK
+def cmd_simulate(args: argparse.Namespace) -> str:
+    _check_counts(args)
+    cfg = _load(args)
+    [aggs] = _simulate_into([(cfg, Path(cfg.out_dir))], args.workers, args.traces)
+    status = {
+        label: {
+            "completed": agg.runs_completed,
+            "diverged": agg.runs_diverged,
+            "draw_cap_hit": agg.runs_draw_capped,
+            "clipped_rewards": agg.clipped_rewards,
+        }
+        for label, agg in aggs.items()
+    }
+    return json.dumps({"command": "simulate", "out": cfg.out_dir, "status": status}, indent=2)
 
 
-def cmd_analytic(args: argparse.Namespace) -> int:
-    try:
-        cfg = _apply_flag_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+def cmd_analytic(args: argparse.Namespace) -> str:
+    cfg = _load(args)
     if cfg.eta not in (None, cfg.sigma2):
-        return _fail(
-            "analytic curves hold for MLE updates only; eta must be unset or equal sigma2",
-            EXIT_VALIDATION,
-        )
+        raise ConfigError("analytic curves hold for MLE updates only; eta must be unset or equal sigma2")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cost = engine.CostModel(cfg.c_g, cfg.c_t)
@@ -161,7 +148,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         try:
             ev = analytic.cost_curve(schedule, cfg.theta0, cfg.sigma2, cfg.kappa2, cost)
         except ValueError as exc:
-            return _fail(f"policy {p.label!r}: {exc}", EXIT_RUNTIME)
+            raise RuntimeError(f"policy {p.label!r}: {exc}") from None
         write_agg_csv(out_dir / f"{p.label}_analytic.csv", analytic_rows(p.label, ev))
         write_text_atomic(out_dir / f"{p.label}_law.csv", law_csv_text(p.label, ev))
         series.append(Series(p.label, ev.cum_cost, ev.gap, None))
@@ -170,132 +157,108 @@ def cmd_analytic(args: argparse.Namespace) -> int:
             out_dir / "analytic_gap_vs_cost.svg",
             render_gap_vs_cost(series, title="analytic gap vs cumulative cost"),
         )
-    print(json.dumps({"command": "analytic", "out": cfg.out_dir, "policies": [p.label for p in cfg.policies]}, indent=2))
-    return EXIT_OK
+    return json.dumps({"command": "analytic", "out": cfg.out_dir, "policies": [p.label for p in cfg.policies]}, indent=2)
 
 
-def cmd_optimal_policy(args: argparse.Namespace) -> int:
-    C, T = args.budget, args.iters
+def cmd_optimal_policy(args: argparse.Namespace) -> str:
+    C, T, sigma2, kappa2 = args.budget, args.iters, args.sigma2, args.kappa2
     theta0 = np.array(args.theta0, dtype=float) if args.theta0 else None
     try:
-        schedule = analytic.optimal_schedule(C, T, args.sigma2, args.kappa2, theta0)
+        schedule = analytic.optimal_schedule(C, T, sigma2, kappa2, theta0)
+        continuous = analytic.continuous_optimum(C, T, sigma2, kappa2)
+        sig2 = analytic.marginal(theta0 if theta0 is not None else 0.0, schedule, sigma2, kappa2).sigma2_T
     except ValueError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    continuous = analytic.continuous_optimum(C, T, args.sigma2, args.kappa2)
-    ns = list(schedule.n)
-    sig2 = analytic.marginal(
-        theta0 if theta0 is not None else 0.0, schedule, args.sigma2, args.kappa2
-    ).sigma2_T
-    print(f"continuous optimum: [{', '.join(format_float(v) for v in continuous)}]")
-    print(f"integer schedule:   {ns}")
-    print(f"sigma2_T:           {format_float(sig2)}")
+        raise ConfigError(str(exc)) from None
+    lines = [
+        f"continuous optimum: [{', '.join(format_float(v) for v in continuous)}]",
+        f"integer schedule:   {list(schedule.n)}",
+        f"sigma2_T:           {format_float(sig2)}",
+    ]
     if args.verify:
         if C > analytic.BRUTE_FORCE_MAX_BUDGET or T > analytic.BRUTE_FORCE_MAX_ITERS:
-            return _fail(
+            raise ConfigError(
                 f"--verify needs C <= {analytic.BRUTE_FORCE_MAX_BUDGET} and "
-                f"T <= {analytic.BRUTE_FORCE_MAX_ITERS}",
-                EXIT_VALIDATION,
+                f"T <= {analytic.BRUTE_FORCE_MAX_ITERS}"
             )
-        best, best_sig2 = analytic.brute_force_optimal(C, T, args.sigma2, args.kappa2)
-        print(f"brute force:        {list(best.n)}")
-        print(f"brute sigma2_T:     {format_float(best_sig2)}")
+        best, best_sig2 = analytic.brute_force_optimal(C, T, sigma2, kappa2)
         ratio = sig2 / best_sig2 if best_sig2 > 0 else float("inf")
-        print(f"apportioned/brute sigma2_T ratio: {format_float(ratio)}")
-    return EXIT_OK
+        lines += [
+            f"brute force:        {list(best.n)}",
+            f"brute sigma2_T:     {format_float(best_sig2)}",
+            f"apportioned/brute sigma2_T ratio: {format_float(ratio)}",
+        ]
+    return "\n".join(lines)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> str:
+    _check_counts(args)
+    cfg = _load(args)
     try:
-        _check_counts(args)
-        cfg = _apply_flag_overrides(load_config(args.config), args)
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-        if not values:
-            raise ConfigError("sweep needs a non-empty --values list")
-        names = [f"{v:g}" for v in values]
-        if len(set(names)) != len(names):
-            # Point directories and summary rows are named by {value:g}.
-            raise ConfigError(f"--values {args.values!r} repeat a point name: {names}")
-        swept = [apply_override(cfg, args.axis, v) for v in values]
-    except (ConfigError, ValueError) as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not values:
+        raise ConfigError("sweep needs a non-empty --values list")
+    names = [f"{v:g}" for v in values]
+    if len(set(names)) != len(names):
+        # Point directories and summary rows are named by {value:g}.
+        raise ConfigError(f"--values {args.values!r} repeat a point name: {names}")
+    swept = [apply_override(cfg, args.axis, v) for v in values]
     base = Path(cfg.out_dir)
     axis_slug = args.axis.replace(".", "_")
+    points = [(sub_cfg, base / f"sweep_{axis_slug}_{name}") for sub_cfg, name in zip(swept, names)]
     summary_lines = ["axis,value,policy_label,final_T,mean_gap,se_gap"]
-    sub_dirs = [base / f"sweep_{axis_slug}_{value:g}" for value in values]
-    try:
-        _simulate_into(list(zip(swept, sub_dirs)), args.workers)
-        for value, sub_cfg, sub_dir in zip(values, swept, sub_dirs):
-            for p in sub_cfg.policies:
-                rows = read_agg_csv(sub_dir / f"{p.label}_agg.csv")
-                final = max(rows, key=lambda r: r.T)
-                summary_lines.append(
-                    ",".join(
-                        [
-                            args.axis,
-                            f"{value:g}",
-                            p.label,
-                            str(final.T),
-                            format_float(final.mean_gap),
-                            format_float(final.se_gap),
-                        ]
-                    )
-                )
-    except (RuntimeError, ValueError) as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    base.mkdir(parents=True, exist_ok=True)
+    for name, aggs in zip(names, _simulate_into(points, args.workers)):
+        for label, agg in aggs.items():
+            final = [str(int(agg.T[-1])), format_float(agg.mean_gap[-1]), format_float(agg.se_gap[-1])]
+            summary_lines.append(",".join([args.axis, name, label, *final]))
     write_text_atomic(base / "sweep_summary.csv", "\n".join(summary_lines) + "\n")
-    print(json.dumps({"command": "sweep", "axis": args.axis, "values": values, "out": str(base)}, indent=2))
-    return EXIT_OK
+    return json.dumps({"command": "sweep", "axis": args.axis, "values": values, "out": str(base)}, indent=2)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _read_rows(path: Path) -> dict:
+    """A written aggregate CSV's rows by T; a malformed file is bad input."""
     try:
-        cfg = _apply_flag_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+        return {r.T: r for r in read_agg_csv(path)}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def cmd_compare(args: argparse.Namespace) -> str:
+    cfg = _load(args)
     out_dir = Path(cfg.out_dir)
     report: dict[str, float] = {}
-    worst = 0.0
     for p in cfg.policies:
         sim_path = out_dir / f"{p.label}_agg.csv"
         ana_path = out_dir / f"{p.label}_analytic.csv"
         if not sim_path.exists() or not ana_path.exists():
-            return _fail(
+            raise ConfigError(
                 f"missing {sim_path.name} or {ana_path.name} in {out_dir} "
-                f"(run simulate and analytic first)",
-                EXIT_VALIDATION,
+                f"(run simulate and analytic first)"
             )
-        sim = {r.T: r for r in read_agg_csv(sim_path)}
-        ana = {r.T: r for r in read_agg_csv(ana_path)}
+        sim, ana = _read_rows(sim_path), _read_rows(ana_path)
         if {T: r.n_t for T, r in sim.items()} != {T: r.n_t for T, r in ana.items()}:
-            return _fail(
+            raise ConfigError(
                 f"policy {p.label!r}: simulated and analytic rows differ in their T "
-                f"values or n_t (was one of them run with another config?)",
-                EXIT_VALIDATION,
+                f"values or n_t (was one of them run with another config?)"
             )
         zero_se = [T for T in sorted(sim) if sim[T].se_gap <= 0]
         if zero_se:
-            return _fail(
+            raise RuntimeError(
                 f"policy {p.label!r}: simulated se_gap is 0 at T={zero_se[0]}, "
-                f"so the gap difference has no standard-error scale",
-                EXIT_RUNTIME,
+                f"so the gap difference has no standard-error scale"
             )
-        label_worst = max(
+        report[p.label] = max(
             (abs(sim[T].mean_gap - ana[T].mean_gap) / sim[T].se_gap for T in sim), default=0.0
         )
-        report[p.label] = label_worst
-        worst = max(worst, label_worst)
-    print(
-        json.dumps(
-            {
-                "command": "compare",
-                "max_abs_gap_diff_over_se": {k: round(v, 6) for k, v in report.items()},
-                "overall": round(worst, 6),
-            },
-            indent=2,
-        )
+    return json.dumps(
+        {
+            "command": "compare",
+            "max_abs_gap_diff_over_se": {k: round(v, 6) for k, v in report.items()},
+            "overall": round(max(report.values(), default=0.0), 6),
+        },
+        indent=2,
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,8 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: print what it reports and return 0, or print
+    its error once and return 1 for bad input (:class:`ConfigError`) or
+    2 for a failure while running (``RuntimeError``, ``ValueError`` or
+    ``OSError``)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        print(args.func(args))
+    except (RuntimeError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION if isinstance(exc, ConfigError) else EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -296,15 +296,15 @@ def parse_config(text: str) -> ExperimentConfig:
             f"(without it the step is eta = sigma2, the MLE update)"
         )
     cfg = ExperimentConfig(policies=tuple(policies), **values)
-    _check_values(cfg, lambda name: f"line {lines[name]}: ")
+    _check_values(cfg, lambda key: f"line {key.line if isinstance(key, PolicyConfig) else lines[key]}: ")
     return cfg
 
 
-def _check_values(cfg: ExperimentConfig, where: Callable[[str], str]) -> None:
+def _check_values(cfg: ExperimentConfig, where: Callable[[str | PolicyConfig], str]) -> None:
     """The range checks of a config, wherever its values came from: the
-    file, or a sweep's override. ``where(field)`` names the source of a
-    rejected field, as a message prefix. Every policy is materialized,
-    so horizon problems surface here, not at run time."""
+    file, or a sweep's override. ``where(key)`` names the source of a
+    rejected field or policy, as a message prefix. Every policy is
+    materialized, so horizon problems surface here, not at run time."""
     if cfg.sigma2 <= 0:
         raise ConfigError(f"{where('sigma2')}sigma2 must be positive")
     if cfg.kappa2 <= 0:
@@ -326,7 +326,10 @@ def _check_values(cfg: ExperimentConfig, where: Callable[[str], str]) -> None:
     if cfg.eval_samples < 1:
         raise ConfigError(f"{where('eval_samples')}eval_samples must be >= 1")
     for p in cfg.policies:
-        largest = max(build_schedule(p, cfg.T).n)
+        try:
+            largest = max(build_schedule(p, cfg.T).n)
+        except ConfigError as exc:
+            raise ConfigError(f"{where(p)}{exc}") from None
         if cfg.max_draws_per_iter is not None and cfg.max_draws_per_iter < largest:
             raise ConfigError(
                 f"{where('max_draws_per_iter')}max_draws_per_iter={cfg.max_draws_per_iter} "

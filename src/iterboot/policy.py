@@ -281,10 +281,13 @@ def materialize(spec: PolicySpec, T: int) -> Schedule:
     Real-valued families are floored entrywise, then clamped to >= 1.
     Raises ``ValueError`` for T < 1 or a horizon the spec cannot fill
     (an Explicit spec whose length is not T, a verbatim BudgetLinear
-    with T < 2).
+    with T < 2, counts beyond the float range).
     """
     _check_positive_int("T", T)
-    return _clamp(spec.counts(T))
+    try:
+        return _clamp(spec.counts(T))
+    except OverflowError:
+        raise ValueError(f"{spec.family} counts overflow a float at horizon T={T}") from None
 
 
 def budget_matched_constant(n0: int, u: float, T: int) -> Schedule:

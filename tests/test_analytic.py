@@ -143,6 +143,34 @@ class TestOptimalSchedule:
             optimal_schedule(21, 3, 1.0, 1.0, theta0=np.array([math.nan, 1.0]))
 
 
+class TestBeyondTheFloatRange:
+    # At rho = 1, (1+rho)**k exceeds the float range from k = 1024; at
+    # rho = 1e200, from k = 2.
+    def test_marginal_beyond_the_float_range(self):
+        law = marginal(np.array([1.0, 1.0]), [10] * 1100, 1.0, 1.0)
+        assert law.mu.tolist() == [0.0, 0.0]
+        assert math.isclose(law.sigma2_T, variance_floor(10, 1.0, 1.0), rel_tol=1e-12)
+
+    def test_continuous_optimum_beyond_the_float_range_names_the_horizon(self):
+        with pytest.raises(ValueError, match="overflow a float at horizon T=1100"):
+            continuous_optimum(5000, 1100, 1.0, 1.0)
+
+    def test_hypothesis_bound_beyond_the_float_range(self):
+        # (1+rho)**T overflows at rho = 1e100, T = 4; the weights do not.
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimal_schedule(10, 4, 1e100, 1.0, theta0=np.array([1.0])).n == (1, 1, 1, 7)
+
+    def test_brute_force_beyond_the_float_range(self):
+        assert brute_force_optimal(21, 3, 1e200, 1.0)[0].n == (1, 1, 19)
+
+    def test_cost_curve_beyond_the_float_range(self):
+        ev = cost_curve([10, 10], 0.0, 1e200, 1.0, CostModel(0.0, 1.0))
+        assert np.allclose(ev.sigma2_T, [0.1, 0.1], rtol=1e-12, atol=0.0)
+
+
 class TestBruteForce:
     def test_exact_case(self):
         sched, sig2 = brute_force_optimal(21, 3, 1.0, 1.0)

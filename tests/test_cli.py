@@ -181,6 +181,24 @@ class TestSimulate:
         assert f"line {text.splitlines().index(line) + 1}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unwritable_out_is_runtime_error(self, small_cfg, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["simulate", "--config", str(small_cfg), "--out", str(blocker / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_horizon_beyond_the_float_range_is_validation_error(self, tmp_path, capsys):
+        text = SMALL.replace("T = 5", "T = 2000")
+        path = tmp_path / "long.cfg"
+        path.write_text(text)
+        for command in ("simulate", "analytic"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            line = text.splitlines().index("[policy exp]") + 1
+            assert f"line {line}: policy 'exp': exponential counts overflow a float at horizon T=2000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_all_runs_failing_is_runtime_error(self, tmp_path, capsys):
         text = SMALL.replace("theta0 = 1.0, 1.0", "theta0 = 60.0, 60.0").replace(
             "master_seed = 31416", "master_seed = 31416\nmax_draws_per_iter = 50"
@@ -267,6 +285,17 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "policy 'const'" in err and "T=3" in err
 
+    def test_short_row_is_validation_error(self, small_cfg, tmp_path, capsys):
+        assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0
+        assert main(["analytic", *out_args(small_cfg, tmp_path)]) == 0
+        path = tmp_path / "out" / "exp_agg.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
+        assert f"error: line 4 of {path} has 10 fields" in capsys.readouterr().err
+
     def test_missing_inputs_rejected(self, small_cfg, tmp_path, capsys):
         assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
         assert "run simulate and analytic first" in capsys.readouterr().err
@@ -298,6 +327,22 @@ class TestOptimalPolicy:
         )
         assert code == 1
         assert "--verify needs" in capsys.readouterr().err
+
+    def test_verify_beyond_caps_prints_no_schedule(self, capsys):
+        assert main(["optimal-policy", "-C", "300", "-T", "3", "--sigma2", "1", "--kappa2", "1", "--verify"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_long_horizon(self, capsys):
+        # sigma2_T sums terms 1 / (n_t * 2**(2(T-t)-1)), past the float range.
+        assert main(["optimal-policy", "-C", "5000", "-T", "600", "--sigma2", "1", "--kappa2", "1"]) == 0
+        assert "sigma2_T:           0.000461307349" in capsys.readouterr().out
+
+    def test_horizon_beyond_the_float_range_is_validation_error(self, capsys):
+        # The weights C * 2**t of the continuous optimum overflow.
+        assert main(["optimal-policy", "-C", "5000", "-T", "1100", "--sigma2", "1", "--kappa2", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: weights C*(1+rho)**t overflow a float at horizon T=1100" in captured.err
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -331,6 +376,12 @@ class TestSweep:
         summary = (out / "sweep_summary.csv").read_text().splitlines()
         assert summary[0] == "axis,value,policy_label,final_T,mean_gap,se_gap"
         assert len(summary) == 1 + 3 * 2  # three values, two policies
+        # Each row holds the text of the last row of that point's aggregate.
+        for row in summary[1:]:
+            axis, value, label, *final = row.split(",")
+            agg = (out / f"sweep_policy_exp_u_{value}" / f"{label}_agg.csv").read_text().splitlines()
+            header, last = agg[0].split(","), agg[-1].split(",")
+            assert final == [last[header.index(key)] for key in ("T", "mean_gap", "se_gap")]
 
     def test_one_pool_per_command(self, small_cfg, tmp_path, monkeypatch):
         starts = []
@@ -465,6 +516,11 @@ class TestSweep:
         assert main(["sweep", *out_args(small_cfg, tmp_path), "--axis", axis, f"--values={value}"]) == 1
         key = axis.split(".")[1]
         assert f"axis {axis!r}: {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_horizon_beyond_the_float_range_is_validation_error(self, small_cfg, tmp_path, capsys):
+        assert main(["sweep", *out_args(small_cfg, tmp_path), "--axis", "run.T", "--values", "5,2000"]) == 1
+        assert "axis 'run.T': policy 'exp': exponential counts overflow a float at horizon T=2000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_zero_workers_is_validation_error(self, small_cfg, tmp_path, capsys):

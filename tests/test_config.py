@@ -215,6 +215,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="entries but T"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "old, new, policy, message",
+        [
+            ("T = 15", "T = 1", "linear", "verbatim linear normalization needs T >= 2"),
+            ("family = exponential\nn0 = 10\nu = 0.5", "family = explicit\nschedule = 4, 5, 6", "exp", "entries but T=15"),
+            ("T = 15", "T = 2000", "exp", "overflow a float at horizon T=2000"),
+        ],
+    )
+    def test_horizon_the_policy_cannot_fill_names_policy_line(self, old, new, policy, message):
+        text = TOY.replace(old, new)
+        line = text.splitlines().index(f"[policy {policy}]") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: policy '{policy}': .*{message}"):
+            parse_config(text)
+
     def test_bad_policy_parameter_names_policy_line(self):
         text = TOY.replace("n0 = 10\nu = 0.5\n\n[policy const]", "n0 = 0\nu = 0.5\n\n[policy const]")
         line = text.splitlines().index("[policy exp]") + 1
@@ -267,6 +281,14 @@ class TestOverride:
     def test_integer_key_rejects_fraction(self, axis, value):
         with pytest.raises(ConfigError, match="integer"):
             apply_override(parse_config(TOY), axis, value)
+
+    @pytest.mark.parametrize(
+        "value, policy, message",
+        [(1.0, "linear", "needs T >= 2"), (2000.0, "exp", "overflow a float at horizon T=2000")],
+    )
+    def test_horizon_the_policy_cannot_fill_names_axis(self, value, policy, message):
+        with pytest.raises(ConfigError, match=f"axis 'run.T': policy '{policy}': .*{message}"):
+            apply_override(parse_config(TOY), "run.T", value)
 
     def test_non_numeric_axis_rejected(self):
         with pytest.raises(ConfigError, match="numeric"):

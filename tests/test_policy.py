@@ -11,6 +11,7 @@ from iterboot.policy import (
     BatchConstant,
     BatchExponential,
     BatchLinear,
+    BudgetConstant,
     Constant,
     Explicit,
     Exponential,
@@ -56,6 +57,15 @@ class TestMaterialize:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             materialize(Constant(10), 0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Exponential(10, 0.5), Polynomial(10, 200.0), BatchExponential(1.0, 0.5, 4), BudgetConstant(10, 0.5)],
+    )
+    def test_counts_beyond_the_float_range_name_the_horizon(self, spec):
+        # (1+u)**t and (1+t)**alpha overflow a float well before T = 2000.
+        with pytest.raises(ValueError, match="overflow a float at horizon T=2000"):
+            materialize(spec, 2000)
 
     def test_clamps_floored_zero_and_flags(self):
         # 0.9 * (1+t)^... floors to 0 at t=0
