@@ -230,11 +230,13 @@ def brute_force_optimal(
 
 def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
     """Limit of sigma2_T as T grows under the constant schedule n_t = n0:
-    (sigma2/n0) * (1+rho) / ((1+rho)^2 - 1)."""
+    (sigma2/n0) * (1+rho) / ((1+rho)^2 - 1), written as
+    kappa2 * (1+rho) / (n0 * (2+rho)) (since sigma2/rho = kappa2), which
+    neither overflows at a large rho nor divides by 0 at a tiny one."""
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
     rho = sigma2 / kappa2
-    return (sigma2 / n0) * (1.0 + rho) / ((1.0 + rho) ** 2 - 1.0)
+    return kappa2 * (1.0 + rho) / (n0 * (2.0 + rho))
 
 
 def _gauss_hermite_inv_reward(

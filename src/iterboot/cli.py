@@ -14,7 +14,9 @@ Subcommands:
 Each ``cmd_*`` returns the text it prints on stdout, or raises; only
 :func:`main` turns the outcome into an exit code: 0 success, 1 bad input
 (:class:`ConfigError`), 2 runtime failure. All state flows through flags
-and the config file; no environment variables.
+and the config file; no environment variables. ``simulate`` and ``sweep``
+run on as many pool workers as the process has usable CPUs unless
+``--workers`` says otherwise; every width writes the same bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,6 +57,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+WORKERS_HELP = (
+    "process-pool width (default: the CPUs this process may run on); a pool "
+    "gets at most one worker per 16 runs, 1 runs serially, and every width "
+    "writes the same bytes"
+)
+
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
     """The config file, with the --out, --seed and --svg flags applied."""
@@ -67,12 +76,23 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _check_counts(args: argparse.Namespace) -> None:
-    """Reject a pool width below 1 and a negative trace count."""
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, the default pool width."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _check_counts(args: argparse.Namespace) -> int:
+    """The pool width, --workers or else the usable CPUs; rejects a width
+    below 1 and a negative trace count."""
+    workers = _usable_cpus() if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     if getattr(args, "traces", 0) < 0:
         raise ConfigError(f"--traces must be >= 0, got {args.traces}")
+    return workers
 
 
 def _run_config(cfg: ExperimentConfig, schedule) -> engine.RunConfig:
@@ -120,9 +140,9 @@ def _simulate_into(
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:
-    _check_counts(args)
+    workers = _check_counts(args)
     cfg = _load(args)
-    [aggs] = _simulate_into([(cfg, Path(cfg.out_dir))], args.workers, args.traces)
+    [aggs] = _simulate_into([(cfg, Path(cfg.out_dir))], workers, args.traces)
     status = {
         label: {
             "completed": agg.runs_completed,
@@ -191,7 +211,7 @@ def cmd_optimal_policy(args: argparse.Namespace) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
-    _check_counts(args)
+    workers = _check_counts(args)
     cfg = _load(args)
     try:
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]
@@ -208,7 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     axis_slug = args.axis.replace(".", "_")
     points = [(sub_cfg, base / f"sweep_{axis_slug}_{name}") for sub_cfg, name in zip(swept, names)]
     summary_lines = ["axis,value,policy_label,final_T,mean_gap,se_gap"]
-    for name, aggs in zip(names, _simulate_into(points, args.workers)):
+    for name, aggs in zip(names, _simulate_into(points, workers)):
         for label, agg in aggs.items():
             final = [str(int(agg.T[-1])), format_float(agg.mean_gap[-1]), format_float(agg.se_gap[-1])]
             summary_lines.append(",".join([args.axis, name, label, *final]))
@@ -278,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo simulation per policy")
     add_common(p_sim)
-    p_sim.add_argument("--workers", type=int, default=1, help="process-pool width")
+    p_sim.add_argument("--workers", type=int, help=WORKERS_HELP)
     p_sim.add_argument(
         "--traces", type=int, default=0,
         help="also write the first N per-run trace CSVs per policy",
@@ -302,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--axis", required=True, help="dotted key, e.g. policy.exp.u or model.kappa2")
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, help=WORKERS_HELP)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="report worst sim-vs-analytic gap disagreement")

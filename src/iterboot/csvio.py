@@ -146,7 +146,10 @@ def read_agg_csv(path: str | Path) -> list[AggRow]:
                     f"line {reader.line_num} of {path} has {len(rec)} fields, "
                     f"expected {len(AGG_COLUMNS)}"
                 )
-            rows.append(AggRow(*(kind(cell) for kind, cell in zip(_COLUMN_TYPES, rec))))
+            try:
+                rows.append(AggRow(*(kind(cell) for kind, cell in zip(_COLUMN_TYPES, rec))))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
     return rows
 
 

@@ -232,6 +232,14 @@ class TestVarianceFloor:
         assert variance_floor(10**9, 1.0, 2.0) < 1e-8
         assert variance_floor(10**12, 1.0, 2.0) < 1e-11
 
+    def test_no_overflow_at_a_large_rho(self):
+        # (1+rho)**2 leaves the float range; the floor is kappa2 / n0.
+        assert variance_floor(10, 1e200, 1.0) == 0.1
+
+    def test_no_division_by_zero_at_a_tiny_rho(self):
+        # (1+rho)**2 - 1 rounds to 0; the floor is kappa2 / (2 * n0).
+        assert variance_floor(10, 1e-300, 1.0) == 0.05
+
 
 class TestCostCurve:
     def test_training_only_cost_is_prefix_sum(self):

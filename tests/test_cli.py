@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from iterboot import engine
+from iterboot import cli, engine
 from iterboot.cli import main
 from iterboot.csvio import read_agg_csv, write_agg_csv
 
@@ -128,6 +128,24 @@ class TestSimulate:
             args = ["--config", str(path), "--out", str(tmp_path / workers), "--traces", "2"]
             assert main(["simulate", *args, "--workers", workers]) == 0
         assert_same_files(tmp_path / "1", tmp_path / "2", 4)
+
+    @pytest.mark.parametrize("cpus, want", [(2, [{"max_workers": 2}]), (1, [])])
+    def test_default_width_is_the_usable_cpus(self, small_cfg, tmp_path, monkeypatch, cpus, want):
+        starts = []
+
+        class CountedPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        args = ["--config", str(small_cfg), "--out"]
+        assert main(["simulate", *args, str(tmp_path / "default")]) == 0
+        assert starts == want
+        assert main(["simulate", *args, str(tmp_path / "serial"), "--workers", "1"]) == 0
+        assert starts == want
+        assert_same_files(tmp_path / "serial", tmp_path / "default", 3)
 
     @pytest.mark.parametrize(
         "flag, value", [("--workers", "0"), ("--workers", "-3"), ("--traces", "-2")]
@@ -296,6 +314,19 @@ class TestCompare:
         assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
         assert f"error: line 4 of {path} has 10 fields" in capsys.readouterr().err
 
+    def test_unparsable_cell_is_validation_error(self, small_cfg, tmp_path, capsys):
+        assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0
+        assert main(["analytic", *out_args(small_cfg, tmp_path)]) == 0
+        path = tmp_path / "out" / "exp_agg.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("T")] = "abc2"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
+        assert f"error: line 2 of {path}: " in capsys.readouterr().err
+
     def test_missing_inputs_rejected(self, small_cfg, tmp_path, capsys):
         assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
         assert "run simulate and analytic first" in capsys.readouterr().err
@@ -397,7 +428,7 @@ class TestSweep:
         assert starts == [{"max_workers": 2}]
         assert main(["simulate", *out_args(small_cfg, tmp_path), "--workers", "2"]) == 0
         assert len(starts) == 2
-        assert main(["sweep", *args]) == 0
+        assert main(["sweep", *args, "--workers", "1"]) == 0
         assert len(starts) == 2
 
     def test_pooled_sweep_writes_the_serial_bytes(self, tmp_path):
