@@ -58,8 +58,8 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 WORKERS_HELP = (
-    "process-pool width (default: the CPUs this process may run on); a pool "
-    "gets at most one worker per 16 runs, 1 runs serially, and every width "
+    "process-pool width (default: the CPUs this process may run on, by its "
+    "CPU affinity, not its cgroup quota); 1 runs serially, and every width "
     "writes the same bytes"
 )
 

@@ -596,9 +596,7 @@ def monte_carlo_jobs(
     ``executor``) a job's blocks hold _BLOCK_RUNS runs and run when its
     aggregate is asked for. ``workers > 1`` spreads the blocks of every
     job over one process pool, ``executor`` when one is given
-    (``workers`` is then its width), else a pool started for these jobs
-    with at most one worker per _BLOCK_RUNS runs of all jobs; where that
-    is one worker, the jobs run serially.
+    (``workers`` is then its width), else a pool started for these jobs.
     Every block of every job is queued before any result is awaited, so
     the pool stays busy while the caller handles each aggregate as it
     comes. Blocks are reduced in run-index order either way, so no
@@ -609,13 +607,11 @@ def monte_carlo_jobs(
     for _, runs in jobs:
         if runs < 2:
             raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
+    if executor is None and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from monte_carlo_jobs(jobs, workers, pool, traces)
+        return
     if executor is None:
-        # Workers beyond one per _BLOCK_RUNS runs would only sit idle.
-        workers = min(workers, -(-sum(runs for _, runs in jobs) // _BLOCK_RUNS))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from monte_carlo_jobs(jobs, workers, pool, traces)
-            return
         for cfg, runs in jobs:
             blocks = [_mc_block(*a) for a in _block_args(cfg, runs, _BLOCK_RUNS, traces)]
             yield _reduce(cfg, blocks, traces)

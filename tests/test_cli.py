@@ -60,6 +60,14 @@ def assert_same_files(want_dir, got_dir, count):
         assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
 
 
+@pytest.fixture(autouse=True)
+def one_usable_cpu(monkeypatch):
+    """A command without --workers runs serially, as on a one-CPU host, so
+    what each test checks does not depend on the machine. A test of the
+    default width sets its own count."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+
+
 @pytest.fixture
 def small_cfg(tmp_path):
     path = tmp_path / "small.cfg"

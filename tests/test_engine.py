@@ -427,23 +427,6 @@ class TestMonteCarloExtras:
 
 
 class TestMonteCarloJobs:
-    @pytest.mark.parametrize("runs, want", [(20, [{"max_workers": 2}]), (16, [])])
-    def test_started_pool_has_a_worker_per_block_at_most(self, monkeypatch, runs, want):
-        from test_lockstep import assert_same_aggregate
-
-        starts = []
-
-        class CountedPool(engine.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                starts.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        cfg = toy_config(Schedule((10, 15)), seed=5)
-        serial = monte_carlo(cfg, runs)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountedPool)
-        assert_same_aggregate(monte_carlo(cfg, runs, workers=8), serial)
-        assert starts == want
-
     def test_pooled_jobs_equal_their_serial_aggregates(self):
         from test_lockstep import CASES, RUNS, assert_same_aggregate
 
