@@ -1,14 +1,15 @@
 """Closed-form analytics for the Gaussian/exponential-reward setting.
 
-Under MLE updates the parameter after T iterations has an exact
-Gaussian marginal law: the mean contracts by (1+rho) per step and the
-variance is a weighted sum of the per-iteration sampling noises, with
-rho = sigma2/kappa2. From that law everything else follows in closed
-form: the expected final reward, the gap to the optimum, the variance
-floor of constant schedules, the budget-optimal schedule (counts
-proportional to (1+rho)^t), and expected cost curves. A brute-force
-enumerator over integer compositions serves as an independent oracle
-for the optimal-schedule construction.
+Everything here derives from one MLE step, held by ``_StepLaw``: with
+g = 1 + sigma2/kappa2, an iteration on n_t accepted samples maps the
+parameter law N(mu, var*I_d) to N(mu/g, (var/g^2 + sigma2/(n_t*g))*I_d).
+Iterated from theta0, it gives the exact marginal law of theta^(T), the
+expected final reward, the gap to the optimum and the expected cost
+curves; its powers of g give the budget-optimal schedule (counts
+proportional to g^t) and its optimality hypothesis; its fixed point is
+the variance floor of constant schedules. A brute-force enumerator over
+integer compositions serves as an independent oracle for the
+optimal-schedule construction.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .gaussian import ExpReward, GaussianModel, expected_reward, optimal_reward
+from .gaussian import optimal_reward
 from .policy import CostModel, Schedule
 
 __all__ = [
@@ -81,18 +82,39 @@ def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
     return tuple(int(v) for v in schedule)
 
 
-def _growth(rho: float, k: float) -> float:
-    """(1+rho)**k, or inf where that exceeds the float range; the terms
-    it divides then vanish, as they do in exact arithmetic."""
-    try:
-        return (1.0 + rho) ** k
-    except OverflowError:
-        return math.inf
+class _StepLaw:
+    """The MLE step on the parameter law N(mu, var*I_d), with
+    g = 1 + sigma2/kappa2: theta' ~ N(mu/g, (var/g^2 + sigma2/(n_t*g))*I_d).
+    It divides by g: multiplying by 1/g would move the last bits of the
+    analytic output files."""
+
+    def __init__(self, sigma2: float, kappa2: float) -> None:
+        self.g = 1.0 + sigma2 / kappa2
+        self.sigma2 = sigma2
+
+    def power(self, k: float) -> float:
+        """g**k, or inf where that exceeds the float range; the terms
+        it divides then vanish, as they do in exact arithmetic."""
+        try:
+            return self.g**k
+        except OverflowError:
+            return math.inf
+
+    def trajectory(
+        self, theta0: np.ndarray, ns: Sequence[int]
+    ) -> Iterator[tuple[np.ndarray, float]]:
+        """(mu_t, var_t) of theta^(t) for t = 1..len(ns), starting from
+        the point mass at theta0."""
+        mu, var = theta0, 0.0
+        for n in ns:
+            mu = mu / self.g
+            var = var / self.power(2) + self.sigma2 / (n * self.g)
+            yield mu, var
 
 
-def _sigma2_T(ns: Sequence[int], sigma2: float, rho: float) -> float:
-    T = len(ns)
-    return sigma2 * sum(1.0 / (n * _growth(rho, 2 * (T - t) - 1)) for t, n in enumerate(ns))
+def _reward(mu: np.ndarray, var: float, d: int, sigma2: float, kappa2: float) -> float:
+    s = sigma2 + kappa2 + var
+    return (kappa2 / s) ** (d / 2.0) * math.exp(-float(mu @ mu) / (2.0 * s))
 
 
 def marginal(
@@ -101,7 +123,7 @@ def marginal(
     sigma2: float,
     kappa2: float,
 ) -> MarginalLaw:
-    """Marginal law of theta^(T) for an MLE run over ``schedule``:
+    """Marginal law of theta^(T) after ``schedule``, the step law's last row:
 
     mu_T = theta0 / (1+rho)^T,
     sigma2_T = sigma2 * sum_t 1 / (n_t * (1+rho)^(2(T-t)-1)).
@@ -110,10 +132,8 @@ def marginal(
     if not ns:
         raise ValueError("marginal needs a non-empty schedule")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
-    rho = sigma2 / kappa2
-    T = len(ns)
-    mu = theta0 / _growth(rho, T)
-    return MarginalLaw(mu=mu, sigma2_T=_sigma2_T(ns, sigma2, rho), T=T, d=theta0.size)
+    *_, (mu, var) = _StepLaw(sigma2, kappa2).trajectory(theta0, ns)
+    return MarginalLaw(mu=mu, sigma2_T=var, T=len(ns), d=theta0.size)
 
 
 def expected_final_reward(law: MarginalLaw, sigma2: float, kappa2: float) -> float:
@@ -121,14 +141,7 @@ def expected_final_reward(law: MarginalLaw, sigma2: float, kappa2: float) -> flo
     (kappa2 / (sigma2+kappa2+sigma2_T))^(d/2)
         * exp(-||mu||^2 / (2*(sigma2+kappa2+sigma2_T))).
     """
-    s = sigma2 + kappa2 + law.sigma2_T
-    norm2 = float(law.mu @ law.mu)
-    return (kappa2 / s) ** (law.d / 2.0) * math.exp(-norm2 / (2.0 * s))
-
-
-def _hypothesis_bound(T: int, d: int, sigma2: float, kappa2: float) -> float:
-    rho = sigma2 / kappa2
-    return _growth(rho, T) * math.sqrt(d * (sigma2 + kappa2))
+    return _reward(law.mu, law.sigma2_T, law.d, sigma2, kappa2)
 
 
 def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarray:
@@ -142,9 +155,9 @@ def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarr
     for name, value in (("sigma2", sigma2), ("kappa2", kappa2)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite real, got {value!r}")
-    rho = sigma2 / kappa2
+    law = _StepLaw(sigma2, kappa2)
     with np.errstate(over="ignore"):
-        weights = np.array([_growth(rho, t) for t in range(T)])
+        weights = np.array([law.power(t) for t in range(T)])
         total = weights.sum()
         if not math.isfinite(C * total):
             raise ValueError(f"weights C*(1+rho)**t overflow a float at horizon T={T}")
@@ -163,8 +176,9 @@ def optimal_schedule(
     The :func:`continuous_optimum` is rounded by largest-remainder
     apportionment so the entries sum to C exactly; zero entries
     (possible when C barely exceeds T) are repaired by moving units
-    from the largest entry and flagged via ``clamped``. Proportionality fixes the schedule only up to shifts
-    for a fixed T, so the t=0-anchored representative is returned.
+    from the largest entry and flagged via ``clamped``. Proportionality
+    fixes the schedule only up to shifts for a fixed T, so the
+    t=0-anchored representative is returned.
 
     When ``theta0`` is supplied, warns if it violates the
     initial-condition hypothesis ||theta0|| <= (1+rho)^T*sqrt(d*(sigma2+kappa2))
@@ -187,7 +201,7 @@ def optimal_schedule(
         floors[int(np.argmax(floors == 0))] += 1
         floors[int(np.argmax(floors))] -= 1
     if theta0 is not None:
-        bound = _hypothesis_bound(T, theta0.size, sigma2, kappa2)
+        bound = _StepLaw(sigma2, kappa2).power(T) * math.sqrt(theta0.size * (sigma2 + kappa2))
         norm = float(np.linalg.norm(theta0))
         if norm > bound:
             warnings.warn(
@@ -213,8 +227,8 @@ def brute_force_optimal(
             f"instance too large for enumeration: need C <= {BRUTE_FORCE_MAX_BUDGET} "
             f"and T <= {BRUTE_FORCE_MAX_ITERS}, got C={C}, T={T}"
         )
-    rho = sigma2 / kappa2
-    w = np.array([sigma2 / _growth(rho, 2 * (T - t) - 1) for t in range(T)])
+    law = _StepLaw(sigma2, kappa2)
+    w = np.array([sigma2 / law.power(2 * (T - t) - 1) for t in range(T)])
     if T == 1:
         comps = np.array([[C]])
     else:
@@ -229,10 +243,10 @@ def brute_force_optimal(
 
 
 def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
-    """Limit of sigma2_T as T grows under the constant schedule n_t = n0:
-    (sigma2/n0) * (1+rho) / ((1+rho)^2 - 1), written as
-    kappa2 * (1+rho) / (n0 * (2+rho)) (since sigma2/rho = kappa2), which
-    neither overflows at a large rho nor divides by 0 at a tiny one."""
+    """Limit of sigma2_T as T grows under the constant schedule n_t = n0,
+    the step law's fixed point (sigma2/n0) * (1+rho) / ((1+rho)^2 - 1),
+    written as kappa2 * (1+rho) / (n0 * (2+rho)) (since sigma2/rho = kappa2),
+    which neither overflows at a large rho nor divides by 0 at a tiny one."""
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
     rho = sigma2 / kappa2
@@ -240,17 +254,16 @@ def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
 
 
 def _gauss_hermite_inv_reward(
-    mu: np.ndarray, var: float, sigma2: float, kappa2: float, nodes: int = 64
+    mu: np.ndarray, var: float, law: _StepLaw, kappa2: float, nodes: int = 64
 ) -> float:
     """E[1/r(theta)] for theta ~ N(mu, var*I_d) by per-coordinate
     Gauss-Hermite quadrature. 1/r factorizes across coordinates, so a
     one-dimensional rule per coordinate suffices. Requires
     var < sigma2+kappa2 (checked by the caller), else the expectation
     diverges."""
-    s = sigma2 + kappa2
-    rho = sigma2 / kappa2
+    s = law.sigma2 + kappa2
     z, w = np.polynomial.hermite.hermgauss(nodes)
-    out = (1.0 + rho) ** (mu.size / 2.0)
+    out = law.power(mu.size / 2.0)
     for m in mu:
         theta = m + math.sqrt(2.0 * var) * z
         out *= float((w * np.exp(theta**2 / (2.0 * s))).sum()) / math.sqrt(math.pi)
@@ -279,35 +292,30 @@ def cost_curve(
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
     if n_t_expectation not in ("ratio", "quadrature"):
         raise ValueError(f"unknown n_t_expectation {n_t_expectation!r}")
-    rho = sigma2 / kappa2
+    law = _StepLaw(sigma2, kappa2)
     d = theta0.size
     r_star = optimal_reward(d, sigma2, kappa2)
-    model0 = GaussianModel(theta0, sigma2)
-    rw = ExpReward(kappa2)
+    if not np.isfinite(theta0).all():
+        raise ValueError("theta must be finite")
+    for name, value in (("sigma2", sigma2), ("kappa2", kappa2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    rows = list(law.trajectory(theta0, ns))
+    mus = np.array([mu for mu, _ in rows]).reshape(len(ns), d)
+    sig2s = np.array([var for _, var in rows])
+    rewards = np.array([_reward(mu, var, d, sigma2, kappa2) for mu, var in rows])
 
-    T_total = len(ns)
-    rewards = np.empty(T_total)
-    cum_cost = np.empty(T_total)
-    mean_N = np.empty(T_total)
-    mus = np.empty((T_total, d))
-    sig2s = np.empty(T_total)
-
-    mu = theta0.copy()
+    # E[N_t] reads the law of theta^(t) before iteration t: N(mus[t-1],
+    # sig2). At t=0 it is the point mass at theta0, so E[r] and E[1/r]
+    # are exact; this product is gaussian.expected_reward to the bit.
+    r_before = r_star * math.exp(-float(theta0 @ theta0) / (2.0 * (sigma2 + kappa2)))
     sig2 = 0.0
-    running = 0.0
+    mean_N = np.empty(len(ns))
     for t, n_t in enumerate(ns):
-        # Law of theta^(t) (before this iteration): N(mu, sig2); at t=0
-        # it is the point mass at theta0, so E[r] and E[1/r] are exact.
-        if t == 0:
-            r_before = expected_reward(model0, rw)
-        else:
-            r_before = expected_final_reward(
-                MarginalLaw(mu=mu, sigma2_T=sig2, T=t, d=d), sigma2, kappa2
-            )
         if t == 0 or n_t_expectation == "ratio":
             inv_r = 1.0 / r_before if r_before > 0.0 else math.inf
         elif sig2 < sigma2 + kappa2:
-            inv_r = _gauss_hermite_inv_reward(mu, sig2, sigma2, kappa2)
+            inv_r = _gauss_hermite_inv_reward(mus[t - 1], sig2, law, kappa2)
         else:
             inv_r = math.inf  # E[1/r] diverges once sig2 >= sigma2 + kappa2
         if not math.isfinite(inv_r):
@@ -315,24 +323,14 @@ def cost_curve(
                 f"expected draws per accepted sample are infinite at T={t + 1}: "
                 f"E[r] = {r_before:.6g}, parameter variance {sig2:.6g}"
             )
-        expected_draws = n_t * inv_r
-        running += cost.c_g * expected_draws + cost.c_t * n_t
-        # One-step recursion for the law of theta^(t+1).
-        mu = mu / (1.0 + rho)
-        sig2 = sig2 / _growth(rho, 2) + sigma2 / (n_t * (1.0 + rho))
-        rewards[t] = expected_final_reward(
-            MarginalLaw(mu=mu, sigma2_T=sig2, T=t + 1, d=d), sigma2, kappa2
-        )
-        cum_cost[t] = running
-        mean_N[t] = expected_draws
-        mus[t] = mu
-        sig2s[t] = sig2
+        mean_N[t] = n_t * inv_r
+        r_before, sig2 = rewards[t], sig2s[t]
 
     return PolicyEvaluation(
-        T=np.arange(1, T_total + 1),
+        T=np.arange(1, len(ns) + 1),
         reward=rewards,
         gap=r_star - rewards,
-        cum_cost=cum_cost,
+        cum_cost=np.cumsum(cost.c_g * mean_N + cost.c_t * np.array(ns, dtype=float)),
         mean_N=mean_N,
         mu=mus,
         sigma2_T=sig2s,

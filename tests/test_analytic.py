@@ -58,6 +58,17 @@ class TestMarginal:
         ]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
+    def test_is_the_cost_curve_row_exactly(self):
+        # One step law feeds both, so they agree to the bit, not just to a tolerance.
+        ns = (7, 3, 19, 11, 40, 2, 65, 23)
+        theta0 = np.array([0.9, -2.3, 1.7])
+        for sigma2, kappa2 in ((1.0, 2.0), (0.7, 0.3), (2.9, 1.1)):
+            ev = cost_curve(ns, theta0, sigma2, kappa2, TRAIN_ONLY)
+            for T in range(1, len(ns) + 1):
+                law = marginal(theta0, ns[:T], sigma2, kappa2)
+                assert law.sigma2_T == ev.sigma2_T[T - 1]
+                assert law.mu.tolist() == ev.mu[T - 1].tolist()
+
     def test_recursion_matches_direct_sum(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -305,6 +316,45 @@ class TestCostCurve:
         sched = materialize(Exponential(10, 0.5), 3)
         with pytest.raises(ValueError, match="T=1"):
             cost_curve(sched, np.array([60.0, 60.0]), 1.0, 2.0, TRAIN_ONLY, mode)
+
+    # float.hex of cost_curve((5, 8, 13, 21, 34), theta0=(0.7, -1.2, 0.4),
+    # sigma2=2.0, kappa2=1.7, CostModel(c_g=0.5, c_t=1.0)). Unlike the goldens
+    # (c_g = 0, d = 2, rho = 0.5, ratio mode only), this case prices
+    # generation, so mean_N[0] and cum_cost pin the t=0 reward's last bit.
+    PINNED_ROWS = {
+        "reward": ["0x1.182ba6fbccb5fp-2", "0x1.286cc33271be8p-2", "0x1.313d278837797p-2",
+                   "0x1.3673d72207f20p-2", "0x1.39aa17a331bedp-2"],
+        "sigma2_T": ["0x1.7863a1e717863p-3", "0x1.3ab33b9c1ef56p-3", "0x1.a665ff291a1e0p-4",
+                     "0x1.0c670b884c5e2p-4", "0x1.4eb9ffa213e69p-5"],
+        "mu": ["0x1.49572daa34956p-2", "-0x1.1a4ab96d51a4ap-1", "0x1.7863a1e717863p-3",
+               "0x1.2ea3230b1b902p-3", "-0x1.0367429bce7b9p-2", "0x1.59df037a68a4cp-4",
+               "0x1.16195e78e8e54p-4", "-0x1.dcbdc68621891p-4", "0x1.3dd3d9aec1061p-5",
+               "0x1.ff19de0ea51aep-6", "-0x1.b6162c0c8d84dp-5", "0x1.240ec8085e589p-6",
+               "0x1.d5a9113de3d37p-7", "-0x1.9290ea350c6c2p-6", "0x1.0c609c235d9d7p-7"],
+    }
+    PINNED_DRAWS = {
+        "ratio": {
+            "mean_N": ["0x1.54b462c28d223p+4", "0x1.d3d452737e0b6p+4", "0x1.6744a38ce8990p+5",
+                       "0x1.19cc8899e4219p+6", "0x1.c0957bc4ba8d8p+6"],
+            "cum_cost": ["0x1.f4b462c28d223p+3", "0x1.32222d4d82cb6p+5", "0x1.26e23f89fb8bfp+6",
+                         "0x1.03e441eb76ce6p+7", "0x1.b809a0dca571cp+7"],
+        },
+        "quadrature": {
+            "mean_N": ["0x1.54b462c28d223p+4", "0x1.d85ccf4290693p+4", "0x1.6893b7db69798p+5",
+                       "0x1.1a2b61d6686ffp+6", "0x1.c0cdd1170972ep+6"],
+            "cum_cost": ["0x1.f4b462c28d223p+3", "0x1.33444c814762ep+5", "0x1.27c714377e0fdp+6",
+                         "0x1.046e62915923ep+7", "0x1.b8a1d6d71b80ap+7"],
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["ratio", "quadrature"])
+    def test_pinned_bits_with_generation_cost(self, mode):
+        ev = cost_curve(
+            (5, 8, 13, 21, 34), np.array([0.7, -1.2, 0.4]), 2.0, 1.7, CostModel(0.5, 1.0), mode
+        )
+        for field, expected in {**self.PINNED_ROWS, **self.PINNED_DRAWS[mode]}.items():
+            got = [float(v).hex() for v in np.ravel(getattr(ev, field))]
+            assert got == expected, field
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
