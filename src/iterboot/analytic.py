@@ -86,10 +86,15 @@ class _StepLaw:
     """The MLE step on the parameter law N(mu, var*I_d), with
     g = 1 + sigma2/kappa2: theta' ~ N(mu/g, (var/g^2 + sigma2/(n_t*g))*I_d).
     It divides by g: multiplying by 1/g would move the last bits of the
-    analytic output files."""
+    analytic output files. Raises ``ValueError`` unless sigma2 and kappa2
+    are positive finite reals."""
 
     def __init__(self, sigma2: float, kappa2: float) -> None:
-        self.g = 1.0 + sigma2 / kappa2
+        for name, value in (("sigma2", sigma2), ("kappa2", kappa2)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+        self.rho = sigma2 / kappa2
+        self.g = 1.0 + self.rho
         self.sigma2 = sigma2
 
     def power(self, k: float) -> float:
@@ -152,9 +157,6 @@ def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarr
         raise ValueError(f"T must be >= 1, got {T}")
     if C < T:
         raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
-    for name, value in (("sigma2", sigma2), ("kappa2", kappa2)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a positive finite real, got {value!r}")
     law = _StepLaw(sigma2, kappa2)
     with np.errstate(over="ignore"):
         weights = np.array([law.power(t) for t in range(T)])
@@ -249,8 +251,8 @@ def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
     which neither overflows at a large rho nor divides by 0 at a tiny one."""
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
-    rho = sigma2 / kappa2
-    return kappa2 * (1.0 + rho) / (n0 * (2.0 + rho))
+    law = _StepLaw(sigma2, kappa2)
+    return kappa2 * law.g / (n0 * (2.0 + law.rho))
 
 
 def _gauss_hermite_inv_reward(
@@ -285,8 +287,9 @@ def cost_curve(
     (ratio of expectations in place of expectation of the ratio);
     "quadrature" computes E[1/r] with a 64-node Gauss-Hermite rule.
 
-    Raises ``ValueError`` naming the iteration T at which E[r]
-    underflows to 0 or E[1/r] diverges or overflows.
+    Raises ``ValueError`` unless sigma2 and kappa2 are positive finite
+    reals and theta0 is finite, and one naming the iteration T at which
+    E[r] underflows to 0 or E[1/r] diverges or overflows.
     """
     ns = _counts(schedule)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
@@ -297,9 +300,6 @@ def cost_curve(
     r_star = optimal_reward(d, sigma2, kappa2)
     if not np.isfinite(theta0).all():
         raise ValueError("theta must be finite")
-    for name, value in (("sigma2", sigma2), ("kappa2", kappa2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be positive, got {value!r}")
     rows = list(law.trajectory(theta0, ns))
     mus = np.array([mu for mu, _ in rows]).reshape(len(ns), d)
     sig2s = np.array([var for _, var in rows])

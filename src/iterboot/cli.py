@@ -42,6 +42,7 @@ from .config import (
 from .csvio import (
     aggregate_rows,
     analytic_rows,
+    csv_text,
     format_float,
     law_csv_text,
     read_agg_csv,
@@ -227,12 +228,13 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     base = Path(cfg.out_dir)
     axis_slug = args.axis.replace(".", "_")
     points = [(sub_cfg, base / f"sweep_{axis_slug}_{name}") for sub_cfg, name in zip(swept, names)]
-    summary_lines = ["axis,value,policy_label,final_T,mean_gap,se_gap"]
-    for name, aggs in zip(names, _simulate_into(points, workers)):
-        for label, agg in aggs.items():
-            final = [str(int(agg.T[-1])), format_float(agg.mean_gap[-1]), format_float(agg.se_gap[-1])]
-            summary_lines.append(",".join([args.axis, name, label, *final]))
-    write_text_atomic(base / "sweep_summary.csv", "\n".join(summary_lines) + "\n")
+    summary = [
+        (args.axis, name, label, agg.T[-1], agg.mean_gap[-1], agg.se_gap[-1])
+        for name, aggs in zip(names, _simulate_into(points, workers))
+        for label, agg in aggs.items()
+    ]
+    header = ("axis", "value", "policy_label", "final_T", "mean_gap", "se_gap")
+    write_text_atomic(base / "sweep_summary.csv", csv_text(header, summary))
     return json.dumps({"command": "sweep", "axis": args.axis, "values": values, "out": str(base)}, indent=2)
 
 

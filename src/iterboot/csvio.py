@@ -1,12 +1,15 @@
-"""CSV emission and parsing for aggregate curves.
+"""CSV emission and parsing.
 
-One fixed column order is shared by simulation aggregates and analytic
-curves so the two overlay directly. The fields of :class:`AggRow` are
-the schema: their names and order give the columns, their types how
-each cell is rendered and parsed. Floats are rendered with 9
-significant digits; integer columns as plain integers. Emission is
-atomic (write to a temp file, then rename) and byte-stable: parsing an
-emitted file and re-emitting it reproduces identical bytes.
+Every CSV iterboot writes is a header and rows that :func:`csv_text`
+renders, each cell by its type: a ``str`` as it is, unquoted; an ``int``
+or numpy integer as a plain integer; a numpy array as one double-quoted
+field of comma-joined coordinates, quoted at d = 1 too; anything else,
+and each coordinate, as a float with 9 significant digits
+(:func:`format_float`). The fields of :class:`AggRow` are the columns
+that simulation aggregates and analytic curves share, so the two overlay
+directly; their types say how each cell is rendered and parsed. Emission
+is atomic (write to a temp file, then rename) and byte-stable: parsing an
+emitted aggregate file and re-emitting it reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
+
+import numpy as np
 
 from .analytic import PolicyEvaluation
 from .engine import AggregateTrace
@@ -24,6 +30,7 @@ __all__ = [
     "AGG_COLUMNS",
     "AggRow",
     "format_float",
+    "csv_text",
     "aggregate_rows",
     "analytic_rows",
     "write_agg_csv",
@@ -58,52 +65,58 @@ def format_float(x: float) -> str:
 
 AGG_COLUMNS = tuple(f.name for f in fields(AggRow))
 _COLUMN_TYPES = tuple(get_type_hints(AggRow)[name] for name in AGG_COLUMNS)
-_RENDER = {str: str, int: lambda v: str(int(v)), float: format_float}
+
+
+class _CellRules(dict):
+    """The rule for cells of each type, decided when the type is first
+    seen, so that a cell costs one dict lookup before it is rendered. A
+    rule depends on the type alone, so one table serves every caller."""
+
+    def __missing__(self, kind: type):
+        if issubclass(kind, str) or kind is int:
+            self[kind] = str
+        elif issubclass(kind, (int, np.integer)):
+            self[kind] = lambda v: str(int(v))
+        elif issubclass(kind, np.ndarray):
+            self[kind] = lambda v: '"' + ",".join(map(format_float, v)) + '"'
+        else:
+            self[kind] = format_float
+        return self[kind]
+
+
+_CELL_RULES = _CellRules()
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV text of ``header`` and ``rows``, each cell rendered by its
+    type (see the module docstring), newline-terminated."""
+    lines = [",".join(header)]
+    lines.extend(",".join([_CELL_RULES[type(v)](v) for v in row]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _curve_rows(label, source, T, n, mean_N, gap, se_gap, cum_cost, se_cum_cost, runs=(0, 0)):
+    """One AggRow per T from per-T columns, in AggRow's order."""
+    return [
+        AggRow(label, source, int(t), int(n_t), *map(float, per_T), *runs)
+        for t, n_t, *per_T in zip(T, n, mean_N, gap, se_gap, cum_cost, se_cum_cost)
+    ]
 
 
 def aggregate_rows(label: str, agg: AggregateTrace) -> list[AggRow]:
     """Rows for a simulation aggregate, T ascending."""
-    return [
-        AggRow(
-            policy_label=label,
-            source="sim",
-            T=int(agg.T[i]),
-            n_t=int(agg.n[i]),
-            mean_N_t=float(agg.mean_N[i]),
-            mean_gap=float(agg.mean_gap[i]),
-            se_gap=float(agg.se_gap[i]),
-            mean_cum_cost=float(agg.mean_cum_cost[i]),
-            se_cum_cost=float(agg.se_cum_cost[i]),
-            runs_completed=agg.runs_completed,
-            runs_diverged=agg.runs_diverged,
-        )
-        for i in range(len(agg.T))
-    ]
+    return _curve_rows(
+        label, "sim", agg.T, agg.n, agg.mean_N, agg.mean_gap, agg.se_gap,
+        agg.mean_cum_cost, agg.se_cum_cost, (agg.runs_completed, agg.runs_diverged),
+    )
 
 
 def analytic_rows(label: str, ev: PolicyEvaluation) -> list[AggRow]:
     """Rows for an analytic curve in the same schema (SEs are zero,
     run counts are zero; the source column distinguishes them)."""
-    return [
-        AggRow(
-            policy_label=label,
-            source="analytic",
-            T=int(ev.T[i]),
-            n_t=int(ev.n[i]),
-            mean_N_t=float(ev.mean_N[i]),
-            mean_gap=float(ev.gap[i]),
-            se_gap=0.0,
-            mean_cum_cost=float(ev.cum_cost[i]),
-            se_cum_cost=0.0,
-            runs_completed=0,
-            runs_diverged=0,
-        )
-        for i in range(len(ev.T))
-    ]
-
-
-def _render(row: AggRow) -> list[str]:
-    return [_RENDER[kind](getattr(row, col)) for col, kind in zip(AGG_COLUMNS, _COLUMN_TYPES)]
+    return _curve_rows(
+        label, "analytic", ev.T, ev.n, ev.mean_N, ev.gap, repeat(0.0), ev.cum_cost, repeat(0.0)
+    )
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -123,11 +136,12 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def write_agg_csv(path: str | Path, rows: Iterable[AggRow]) -> None:
-    """Emit rows sorted by (policy_label, T), header always present."""
+    """Emit rows sorted by (policy_label, T), header always present; each
+    cell is cast to its field's type first, so a float field holding an
+    int still renders as a float."""
     ordered = sorted(rows, key=lambda r: (r.policy_label, r.T))
-    lines = [",".join(AGG_COLUMNS)]
-    lines.extend(",".join(_render(r)) for r in ordered)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    cells = ([kind(getattr(r, col)) for col, kind in zip(AGG_COLUMNS, _COLUMN_TYPES)] for r in ordered)
+    write_text_atomic(path, csv_text(AGG_COLUMNS, cells))
 
 
 def read_agg_csv(path: str | Path) -> list[AggRow]:
@@ -154,41 +168,13 @@ def read_agg_csv(path: str | Path) -> list[AggRow]:
 
 
 def law_csv_text(label: str, ev: PolicyEvaluation) -> str:
-    """Detail file for analytic curves: marginal-law trajectory with the
-    mean serialized as comma-joined coordinates in a quoted field."""
-    lines = ["policy_label,T,mu,sigma2_T,reward,gap"]
-    for i in range(len(ev.T)):
-        mu = ",".join(format_float(c) for c in ev.mu[i])
-        lines.append(
-            ",".join(
-                [
-                    label,
-                    str(int(ev.T[i])),
-                    f'"{mu}"',
-                    format_float(ev.sigma2_T[i]),
-                    format_float(ev.reward[i]),
-                    format_float(ev.gap[i]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Detail file for analytic curves: the marginal-law trajectory, the
+    mean as one quoted field of coordinates."""
+    rows = zip(repeat(label), ev.T, ev.mu, ev.sigma2_T, ev.reward, ev.gap)
+    return csv_text(("policy_label", "T", "mu", "sigma2_T", "reward", "gap"), rows)
 
 
 def run_trace_csv_text(trace) -> str:
-    """Per-run trace CSV; theta serialized as comma-joined coordinates."""
-    lines = ["t,n_t,N_t,theta,expected_reward_after,cum_cost"]
-    for rec in trace.records:
-        theta = ",".join(format_float(c) for c in rec.theta_after)
-        lines.append(
-            ",".join(
-                [
-                    str(rec.t),
-                    str(rec.n_t),
-                    str(rec.N_t),
-                    f'"{theta}"',
-                    format_float(rec.expected_reward_after),
-                    format_float(rec.cum_cost),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Per-run trace CSV; theta as one quoted field of coordinates."""
+    rows = ((r.t, r.n_t, r.N_t, r.theta_after, r.expected_reward_after, r.cum_cost) for r in trace.records)
+    return csv_text(("t", "n_t", "N_t", "theta", "expected_reward_after", "cum_cost"), rows)

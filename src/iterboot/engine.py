@@ -100,12 +100,6 @@ class RunTrace:
     status: str
     clipped_rewards: int = 0
 
-    @property
-    def final_theta(self) -> np.ndarray:
-        if not self.records:
-            raise ValueError("trace has no completed iterations")
-        return self.records[-1].theta_after
-
 
 @dataclass(frozen=True)
 class AggregateTrace:

@@ -430,3 +430,22 @@ class TestTStar:
             assert ts is not None
             costs.append(float(ev.cum_cost[ts - 1]))
         assert costs[0] < costs[1] < costs[2]
+
+
+_BAD_VARIANCE_CALLS = {
+    "marginal": lambda sigma2, kappa2: marginal(1.0, [10, 10], sigma2, kappa2),
+    "continuous_optimum": lambda sigma2, kappa2: continuous_optimum(21, 3, sigma2, kappa2),
+    "brute_force_optimal": lambda sigma2, kappa2: brute_force_optimal(21, 3, sigma2, kappa2),
+    "variance_floor": lambda sigma2, kappa2: variance_floor(10, sigma2, kappa2),
+    "cost_curve": lambda sigma2, kappa2: cost_curve([10, 10], np.array([1.0]), sigma2, kappa2, TRAIN_ONLY),
+}
+
+
+@pytest.mark.parametrize("fn", sorted(_BAD_VARIANCE_CALLS))
+@pytest.mark.parametrize("name", ["sigma2", "kappa2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_every_closed_form_rejects_a_bad_variance(fn, name, value):
+    # A nan sigma2 gave marginal mu = [nan] and brute force a schedule
+    # with a nan sigma2_T; kappa2 = 0 raised a bare ZeroDivisionError.
+    with pytest.raises(ValueError, match=f"^{name} must be a positive finite real, got {value!r}$"):
+        _BAD_VARIANCE_CALLS[fn](**{"sigma2": 1.0, "kappa2": 2.0, name: value})

@@ -450,6 +450,20 @@ class TestSweep:
             assert main(["sweep", *args, "--axis", "policy.exp.u", "--values", "0.5,3", "--workers", workers]) == 0
         assert_same_files(tmp_path / "1", tmp_path / "2", 1 + 2 * 3)
 
+    def test_summary_bytes_pinned(self, tmp_path):
+        # GD, c_g > 0; bytes taken from the hand-joined summary writer.
+        path = tmp_path / "pooled.cfg"
+        path.write_text(POOLED)
+        args = ["--config", str(path), "--out", str(tmp_path / "out"), "--workers", "1"]
+        assert main(["sweep", *args, "--axis", "policy.exp.u", "--values", "0.5,3"]) == 0
+        assert (tmp_path / "out" / "sweep_summary.csv").read_text() == (
+            "axis,value,policy_label,final_T,mean_gap,se_gap\n"
+            "policy.exp.u,0.5,exp,5,0.0310810766,0.00368471625\n"
+            "policy.exp.u,0.5,const,5,0.032132068,0.00389092672\n"
+            "policy.exp.u,3,exp,5,0.023009606,0.00161954595\n"
+            "policy.exp.u,3,const,5,0.032132068,0.00389092672\n"
+        )
+
     def test_failed_pooled_sweep_leaves_no_worker(self, small_cfg, tmp_path, capsys):
         # Every run of the first point diverges at its first update.
         args = ["--axis", "run.divergence_cap", "--values", "1e-9,1e6", "--workers", "2"]

@@ -16,6 +16,7 @@ from iterboot.csvio import (
     AggRow,
     aggregate_rows,
     analytic_rows,
+    csv_text,
     format_float,
     law_csv_text,
     read_agg_csv,
@@ -171,3 +172,57 @@ class TestRunTraceCsv:
         assert lines[1].count('"') == 2
         theta_field = lines[1].split('"')[1]
         assert len(theta_field.split(",")) == 2
+
+
+class TestCsvText:
+    def test_cell_rules(self):
+        text = csv_text(
+            ("s", "i", "f", "nan", "inf", "v"),
+            [("con", np.int64(7), np.float64(2.0 / 3.0), float("nan"), -np.inf, np.array([0.5]))],
+        )
+        assert text == 's,i,f,nan,inf,v\ncon,7,0.666666667,nan,-inf,"0.5"\n'
+
+    def test_int_valued_float_is_a_float(self):
+        assert csv_text(("x",), [(1e9,), (1_000_000_000,)]) == "x\n1e+09\n1000000000\n"
+
+    def test_no_rows_is_the_header_alone(self):
+        assert csv_text(("a", "b"), []) == "a,b\n"
+
+
+# Bytes taken from the hand-joined writers that csv_text replaced; the
+# golden files cover only d = 2.
+_LAW_BYTES = {
+    1: 'policy_label,T,mu,sigma2_T,reward,gap\nexp,1,"0.666666667",0.0666666667,0.751123063,0.0653735182\n'
+    'exp,2,"0.444444444",0.0740740741,0.78109633,0.0354002508\nexp,3,"0.296296296",0.063224841,0.796530037,0.0199665436\n',
+    3: 'policy_label,T,mu,sigma2_T,reward,gap\n'
+    'exp,1,"0.666666667,-0.333333333,1.33333333",0.0666666667,0.36001816,0.184312894\n'
+    'exp,2,"0.444444444,-0.222222222,0.888888889",0.0740740741,0.443321721,0.101009333\n'
+    'exp,3,"0.296296296,-0.148148148,0.592592593",0.063224841,0.489332226,0.0549988282\n',
+}
+_RUN_TRACE_BYTES = {
+    1: 't,n_t,N_t,theta,expected_reward_after,cum_cost\n0,5,7,"-0.162333444",0.812918371,8.5\n'
+    '1,8,10,"-0.543976363",0.77720515,21.5\n',
+    3: 't,n_t,N_t,theta,expected_reward_after,cum_cost\n'
+    '0,5,34,"0.528770416,-0.0793272245,1.24532383",0.400789846,22\n'
+    '1,8,27,"-0.0872461395,-0.323864413,0.997755186",0.452545529,43.5\n',
+}
+_THETA0 = {1: [1.0], 3: [1.0, -0.5, 2.0]}
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_law_csv_bytes_pinned(d):
+    ev = cost_curve(Schedule((10, 15, 22)), np.array(_THETA0[d]), 1.0, 2.0, CostModel(0.5, 1.0))
+    assert law_csv_text("exp", ev) == _LAW_BYTES[d]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_run_trace_csv_bytes_pinned(d):
+    cfg = RunConfig(
+        theta0=np.array(_THETA0[d]),
+        schedule=Schedule((5, 8)),
+        cost=CostModel(0.5, 1.0),
+        seed=3,
+        sigma2=1.0,
+        kappa2=2.0,
+    )
+    assert run_trace_csv_text(run(cfg)) == _RUN_TRACE_BYTES[d]
