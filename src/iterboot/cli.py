@@ -60,8 +60,8 @@ EXIT_RUNTIME = 2
 
 WORKERS_HELP = (
     "process-pool width (default: the CPUs this process may run on, by its "
-    "CPU affinity, not its cgroup quota); 1 runs serially, and every width "
-    "writes the same bytes"
+    "CPU affinity, capped at its cgroup CPU quota rounded up); 1 runs "
+    "serially, and every width writes the same bytes"
 )
 
 
@@ -77,12 +77,52 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, the default pool width."""
+def _usable_cpus(
+    cgroups: Path = Path("/sys/fs/cgroup"), own: Path = Path("/proc/self/cgroup")
+) -> int:
+    """The CPUs this process may run on, the default pool width: its CPU
+    affinity, capped at the CPU quota of its cgroup (``own`` names it,
+    under the hierarchy root ``cgroups``)."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota(cgroups, own)
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _cpu_quota(cgroups: Path, own: Path) -> int | None:
+    """The CPU quota of this process's cgroup in whole CPUs, rounded up:
+    cgroup v2's ``cpu.max``, or v1's ``cpu.cfs_quota_us`` over
+    ``cpu.cfs_period_us``, the lowest if several are set. None for no
+    quota ("max" or -1), or files that are missing or unreadable."""
+    try:
+        lines = own.read_text().splitlines()
+    except OSError:
+        return None
+    quotas = []
+    for line in lines:
+        parts = line.split(":", 2)
+        if len(parts) != 3:
+            continue
+        _, controllers, path = parts
+        where = path.lstrip("/")
+        try:
+            if not controllers:  # v2: "0::<path>"
+                quota, period = (cgroups / where / "cpu.max").read_text().split()
+            elif "cpu" in controllers.split(","):  # v1: "<id>:cpu,cpuacct:<path>"
+                v1 = cgroups / controllers / where
+                quota = (v1 / "cpu.cfs_quota_us").read_text()
+                period = (v1 / "cpu.cfs_period_us").read_text()
+            else:
+                continue
+            # "max" fails int(); v1 writes -1.
+            q, p = int(quota), int(period)
+            if q > 0 and p > 0:
+                quotas.append(-(-q // p))
+        except (OSError, ValueError):
+            continue
+    return min(quotas, default=None)
 
 
 def _check_counts(args: argparse.Namespace) -> int:

@@ -16,7 +16,9 @@ workers never wait for the caller between jobs.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -65,6 +67,90 @@ def mix64(x: int) -> int:
 def run_seed(master_seed: int, index: int) -> int:
     """Seed of the ``index``-th Monte Carlo run: master XOR mix64(index)."""
     return (master_seed & _MASK64) ^ mix64(index)
+
+
+# np.random.default_rng(seed) seeds its PCG64 with the four 64-bit words
+# of SeedSequence(seed).generate_state(4, np.uint64). For a seed below
+# 2**64 its entropy is the seed's low and high 32-bit words, and the
+# hash below is SeedSequence's (numpy/random/bit_generator.pyx) on that
+# entropy, written so that it runs on Python ints or on uint64 arrays of
+# words below 2**32, one entry per seed.
+_M32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(h: int, mult: int, n: int) -> list[int]:
+    out = [h]
+    for _ in range(n):
+        h = h * mult & _M32
+        out.append(h)
+    return out
+
+
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # pool mixing
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # state generation
+# Below this many seeds, numpy's per-call cost outweighs a loop over ints.
+_ARRAY_SEEDS = 12
+
+
+def _hashmix(v, i: int, consts: list[int]):
+    v = (v ^ consts[i]) * consts[i + 1] & _M32
+    return v ^ v >> 16
+
+
+def _state_words(lo, hi) -> list:
+    """SeedSequence's four uint64 state words from entropy words lo, hi."""
+    pool = [_hashmix(v, i, _HASH_A) for i, v in enumerate((lo, hi, 0, 0))]
+    i = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                v = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], i, _HASH_A) & _M32
+                pool[dst] = v ^ v >> 16
+                i += 1
+    s = [_hashmix(pool[j % 4], j, _HASH_B) for j in range(8)]
+    return [s[j] | s[j + 1] << 32 for j in range(0, 8, 2)]
+
+
+def _seed_words(seeds: list[int]) -> np.ndarray:
+    """The PCG64 seed words of ``np.random.default_rng(seed)`` for each
+    seed, as the rows of an (N, 4) uint64 array. Seeds must lie in
+    [0, 2**64), the range of :func:`run_seed`."""
+    if seeds and not (0 <= min(seeds) and max(seeds) <= _MASK64):
+        raise ValueError(f"seeds must lie in [0, 2**64), got {min(seeds)}..{max(seeds)}")
+    if len(seeds) < _ARRAY_SEEDS:
+        words = [_state_words(s & _M32, s >> 32) for s in seeds]
+        return np.array(words, dtype=np.uint64).reshape(len(seeds), 4)
+    s = np.array(seeds, dtype=np.uint64)
+    return np.stack(_state_words(s & _M32, s >> 32), axis=1)
+
+
+def _generators(words: np.ndarray) -> np.ndarray:
+    """An object array of one generator per row of :func:`_seed_words`,
+    each in the state ``np.random.default_rng`` gives its seed."""
+    make = _pcg64_generator()
+    return np.array([make(w) for w in words], dtype=object)
+
+
+@functools.cache
+def _pcg64_generator() -> Callable[[np.ndarray], np.random.Generator]:
+    # numpy.random loads on first use, so only a process that runs
+    # selections pays for importing it.
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence that hands PCG64 its precomputed state words."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds exactly PCG64's four uint64 seed words")
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
 
 
 class DrawCapExceeded(RuntimeError):
@@ -203,143 +289,149 @@ class RunConfig:
 # block's pending runs are split, in order, into groups whose chunks sum
 # to at most _GROUP_ROWS rows. A group owns one row buffer and one uniform
 # buffer: each run fills its slice of both from its own generator, rows
-# first. The group shares one reward call and one acceptance test, gathers
-# its accepted rows once, and each run copies its share into its slot of
-# the block's batch buffer. A run's stream, chunk sizes and outputs do not
-# depend on which runs share its groups.
+# first. The group shares one reward call and one acceptance test, and
+# its accepted rows go to the runs' slots of the block's batch buffer in
+# one slice copy per run, or in one scatter for a group of at least
+# _SCATTER_RUNS runs that keep fewer than _SCATTER_ROWS rows each on
+# average: only there does the scatter's fixed cost beat the loop's. The
+# round keeps its runs' counts in arrays and updates them all in one
+# pass. A run's stream, chunk sizes and outputs do not depend on which
+# runs share its groups.
 _BLOCK_RUNS = 16
 _GROUP_ROWS = 8192
 _CHUNK_BYTES = 1 << 24
+_SCATTER_RUNS = 48
+_SCATTER_ROWS = 48
 
 
-class _Selection:
-    """One run's accept/reject state within one iteration. Its rows come
-    from the model at ``theta`` (drawn with ``rng``), and ``rng`` then
-    draws their acceptance uniforms.
+class _Draws:
+    """The accept/reject state of one iteration's selections, one column
+    per run: what each still needs, has drawn, and the size of its next
+    chunk, as the rows of ``state`` and as views of them, and how many of
+    its rewards were clipped. Run j's accepted rows fill ``batch[:, j]``
+    (n_t rows) in draw order; its selection ends when that is full
+    (``need`` 0) or on the draw cap. Until then it has accepted
+    n_t - need rows.
 
     N_t (``drawn``) counts draws only up to the one that produced the
     n_t-th acceptance, so cap semantics match the one-sample-at-a-time
-    loop exactly. Accepted rows fill ``batch`` (n_t rows) in draw order;
-    the selection ends when it is full (``need`` 0) or on the draw cap."""
+    loop exactly."""
 
-    __slots__ = ("theta", "rng", "batch", "n_t", "cap", "need", "drawn", "accepted", "clipped", "chunk")
-
-    def __init__(
-        self,
-        theta: np.ndarray | None,
-        rng: np.random.Generator,
-        n_t: int,
-        cap: int,
-        batch: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, runs: int, n_t: int, cap: int, batch: np.ndarray | None = None) -> None:
         if n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {n_t}")
         if cap < n_t:
             raise ValueError(f"cap={cap} cannot be below n_t={n_t}")
-        self.theta = theta
-        self.rng = rng
-        self.batch = batch
         self.n_t = n_t
         self.cap = cap
-        self.need = n_t
-        self.drawn = 0
-        self.accepted = 0
-        self.clipped = 0
-        self.chunk = min(cap, max(32, math.ceil(1.25 * n_t)))
-
-    @property
-    def ended(self) -> bool:
-        return self.need == 0 or self.drawn >= self.cap
-
-    def take(self, rows: np.ndarray, hits: np.ndarray, lo: int, hi: int, start: int) -> None:
-        """Account this run's chunk, which starts at row ``start`` of its
-        group: ``hits[lo:hi]`` are the group indices of its accepted rows,
-        in order, and ``rows[lo:hi]`` those rows."""
-        need = self.need
-        got = self.n_t - need
-        k = hi - lo
-        if k >= need:
-            self.batch[got:] = rows[lo : lo + need]
-            self.drawn += int(hits[lo + need - 1]) - start + 1
-            self.need = 0
-            return
-        self.batch[got : got + k] = rows[lo:hi]
-        self.drawn += self.chunk
-        self.need -= k
-        self.accepted += k
-        if self.drawn < self.cap:
-            rate = max(self.accepted / self.drawn, 0.02)
-            most = max(1, _CHUNK_BYTES // (8 * self.batch.shape[1]))
-            self.chunk = min(self.cap - self.drawn, max(32, math.ceil(1.4 * self.need / rate)), most)
+        self.batch = batch
+        self.state = np.zeros((3, runs), dtype=np.int64)
+        self.need, self.drawn, self.chunk = self.state
+        self.need[:] = n_t
+        self.chunk[:] = min(cap, max(32, math.ceil(1.25 * n_t)))
+        self.clipped = np.zeros(runs, dtype=np.int64)
 
 
-# The next chunk of rows of every selection of a group, one run after
-# another, in one (rows, d) buffer.
-_Fill = Callable[[list[_Selection]], np.ndarray]
+# The next chunk of rows of each run of a group, one run after another,
+# in one (rows, d) array: (the runs, their generators, their chunk sizes).
+_Sample = Callable[[np.ndarray, np.ndarray, list[int]], np.ndarray]
 
 
-def _model_fill(lm: LossModel, d: int) -> _Fill:
-    """A loss model's group sampler: its ``sample_into`` when it has one,
-    else a copy of each run's ``sample``."""
-    into = getattr(lm, "sample_into", None)
+def _draw(
+    sel: _Draws,
+    runs: np.ndarray,
+    rngs: np.ndarray,
+    sample: _Sample,
+    reward_fn: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """One draw round of the selections ``runs`` of ``sel``, which are
+    all pending, with generators ``rngs`` (an object array, one per entry
+    of ``sel``); returns the runs still pending after it.
 
-    def fill(group: list[_Selection]) -> np.ndarray:
-        sizes = [s.chunk for s in group]
-        x = np.empty((sum(sizes), d))
-        if into is not None:
-            into([s.theta for s in group], [s.rng for s in group], sizes, x)
-            return x
-        lo = 0
-        for s, k in zip(group, sizes):
-            x[lo : lo + k] = np.reshape(lm.sample(s.theta, s.rng, k), (k, d))
-            lo += k
-        return x
+    Each group of consecutive runs whose chunks sum to at most
+    _GROUP_ROWS rows (a larger chunk is a group of its own) is sampled
+    into one buffer, each run then draws its chunk's uniforms after its
+    rows, and a row is accepted with probability equal to its reward,
+    clipped to [0, 1]; each run's accepted rows, up to what it needs,
+    go to its batch slot. Then one pass over all the runs updates their
+    counts and next chunk sizes."""
+    # The first round of an iteration has every run pending, and updates
+    # the state in place.
+    whole = runs.size == sel.state.shape[1]
+    state = sel.state if whole else sel.state[:, runs]
+    need, drawn, chunk = state
+    edges = np.zeros(runs.size + 1, dtype=np.int64)  # where each run's rows start in the round
+    np.cumsum(chunk, out=edges[1:])
+    ends = edges.tolist()
+    # Each run's accepted rows in its chunk, and the row of its chunk that
+    # gave its last needed acceptance (read only if it got that far).
+    k, stop = np.empty_like(chunk), np.empty_like(chunk)
+    a = 0
+    while a < runs.size:
+        b = max(a + 1, bisect_right(ends, ends[a] + _GROUP_ROWS) - 1)
+        base = ends[a]
+        grngs = rngs[runs[a:b]]
+        x = sample(runs[a:b], grngs, chunk[a:b].tolist())
+        if sel.batch is None:
+            sel.batch = _batch_buffer(sel.n_t, sel.need.size, x.shape[1])
+        u = np.empty(x.shape[0])
+        for rng, lo, hi in zip(grngs, ends[a:b], ends[a + 1 : b + 1]):
+            rng.random(out=u[lo - base : hi - base])
+        r = np.asarray(reward_fn(x), dtype=np.float64)
+        bounds = edges[a : b + 1] - base if base else edges[: b + 1]
+        if r.min() < 0.0 or r.max() > 1.0:
+            out = np.flatnonzero((r < 0.0) | (r > 1.0))
+            sel.clipped[runs[a:b]] += np.diff(out.searchsorted(bounds))
+            r = np.clip(r, 0.0, 1.0)
+        h = np.flatnonzero(u < r)
+        cuts = h.searchsorted(bounds)
+        first, ng = cuts[:-1], need[a:b]
+        k[a:b] = kg = cuts[1:] - first
+        _keep(sel.batch, x, h, runs[a:b], sel.n_t - ng, first, np.minimum(kg, ng))
+        if h.size:
+            stop[a:b] = h.take(first + ng - 1, mode="clip") - bounds[:-1]
+        del x, u, r  # before the next group's buffers are allocated
+        a = b
+    # A run that filled its batch is billed up to its n_t-th acceptance,
+    # any other for its whole chunk.
+    done = k >= need
+    drawn += np.where(done, stop + 1, chunk)
+    need -= np.minimum(k, need)
+    go = ~done & (drawn < sel.cap)
+    if go.any():
+        # The next chunk; only the pending runs' is read.
+        rate = np.maximum((sel.n_t - need) / drawn, 0.02)
+        most = max(1, _CHUNK_BYTES // (8 * sel.batch.shape[2]))
+        nxt = np.minimum(np.maximum(np.ceil(1.4 * need / rate), 32), most)
+        np.minimum(sel.cap - drawn, nxt, out=chunk, casting="unsafe")
+    if not whole:
+        sel.state[:, runs] = state
+    return runs[go]
 
-    return fill
 
-
-def _groups(pending: list[_Selection]) -> Iterator[list[_Selection]]:
-    """Consecutive groups of at most _GROUP_ROWS rows; a chunk larger than
-    that is a group of its own."""
-    group: list[_Selection] = []
-    rows = 0
-    for s in pending:
-        if group and rows + s.chunk > _GROUP_ROWS:
-            yield group
-            group, rows = [], 0
-        group.append(s)
-        rows += s.chunk
-    if group:
-        yield group
-
-
-def _accept(
-    group: list[_Selection], x: np.ndarray, reward_fn: Callable[[np.ndarray], np.ndarray]
+def _keep(
+    batch: np.ndarray,
+    x: np.ndarray,
+    hits: np.ndarray,
+    runs: np.ndarray,
+    got: np.ndarray,
+    first: np.ndarray,
+    take: np.ndarray,
 ) -> None:
-    """Accept each row of ``x``, the group's chunks one run after another,
-    with probability equal to its reward (clipped to [0, 1]). Each run
-    draws its chunk's uniforms after its rows."""
-    bounds = list(accumulate((s.chunk for s in group), initial=0))
-    u = np.empty(bounds[-1])
-    for s, lo, hi in zip(group, bounds, bounds[1:]):
-        s.rng.random(out=u[lo:hi])
-    r = np.asarray(reward_fn(x), dtype=np.float64)
-    if r.min() < 0.0 or r.max() > 1.0:
-        cuts = _cuts(np.flatnonzero((r < 0.0) | (r > 1.0)), bounds)
-        for s, lo, hi in zip(group, cuts, cuts[1:]):
-            s.clipped += hi - lo
-        r = np.clip(r, 0.0, 1.0)
-    hits = np.flatnonzero(u < r)
-    rows = x.take(hits, axis=0)  # one gather per group; far faster than x[hits]
-    cuts = _cuts(hits, bounds)
-    for s, lo, hi, start in zip(group, cuts, cuts[1:], bounds):
-        s.take(rows, hits, lo, hi, start)
-
-
-def _cuts(idx: np.ndarray, bounds: list[int]) -> list[int]:
-    """Where each run's rows start in the sorted row indices ``idx``, and
-    where the last run's end."""
-    return [0, idx.size] if len(bounds) == 2 else idx.searchsorted(bounds).tolist()
+    """Copy the first ``take[i]`` of run ``runs[i]``'s accepted rows of
+    ``x``, ``hits[first[i]:]``, to rows ``got[i]:`` of its batch slot."""
+    if runs.size >= _SCATTER_RUNS and take.sum() < _SCATTER_ROWS * runs.size:
+        owner = np.repeat(np.arange(runs.size), take)
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(take) - take, take)
+        # Each row viewed as one item, which numpy moves faster than a row
+        # of floats.
+        row = np.dtype((np.void, x.itemsize * x.shape[1]))
+        src = x.view(row)[hits[first[owner] + rank], 0]
+        batch.view(row)[got[owner] + rank, runs[owner], 0] = src
+        return
+    rows = x.take(hits, axis=0)  # one gather; far faster than x[hits]
+    for j, lo, at, n in zip(runs.tolist(), first.tolist(), got.tolist(), take.tolist()):
+        batch[at : at + n, j] = rows[lo : lo + n]
 
 
 def _select(
@@ -352,15 +444,16 @@ def _select(
     """Accept/reject until n_t acceptances; returns (D, N_t, n_clipped).
     The one-run case of the block selection; raises
     :class:`DrawCapExceeded` if the cap would be exhausted first."""
-    s = _Selection(None, rng, n_t, cap)
-    while not s.ended:
-        x = np.reshape(sample_fn(s.chunk), (s.chunk, -1))
-        if s.batch is None:
-            s.batch = np.empty((n_t, x.shape[1]))
-        _accept([s], x, reward_fn)
-    if s.need:
-        raise DrawCapExceeded(drawn=s.drawn, accepted=s.accepted, needed=n_t)
-    return s.batch, s.drawn, s.clipped
+    sel = _Draws(1, n_t, cap)
+    rngs = np.array([rng], dtype=object)
+    pending = np.zeros(1, dtype=np.intp)
+    sample = lambda runs, rngs, sizes: np.reshape(sample_fn(sizes[0]), (sizes[0], -1))  # noqa: E731
+    while pending.size:
+        pending = _draw(sel, pending, rngs, sample, reward_fn)
+    need, drawn, clipped = int(sel.need[0]), int(sel.drawn[0]), int(sel.clipped[0])
+    if need:
+        raise DrawCapExceeded(drawn=drawn, accepted=n_t - need, needed=n_t)
+    return sel.batch[:, 0], drawn, clipped
 
 
 def select_batch(
@@ -402,46 +495,53 @@ class _Block:
     cost: np.ndarray  # (B, T)
 
 
-def _run_block(cfg: RunConfig, seeds: list[int]) -> _Block:
+def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None) -> _Block:
     """Run one seed per run over cfg.schedule, all runs in lockstep.
     Each run is what a run alone with that seed would be, bit for bit;
-    divergence and draw-cap terminations flag the run and stop it."""
+    divergence and draw-cap terminations flag the run and stop it.
+    ``words`` are the seeds' :func:`_seed_words`, if already known."""
     lm = cfg.loss_model
     if lm is None:
         lm = gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
-    fill = _model_fill(lm, cfg.d)
-    B, T = len(seeds), len(cfg.schedule.n)
+    into = getattr(lm, "sample_into", None)
+    B, T, d = len(seeds), len(cfg.schedule.n), cfg.d
     out = _Block(
         seeds=list(seeds),
         status=[COMPLETED] * B,
         clipped=np.zeros(B, dtype=np.int64),
         done=np.full(B, T),
         N=np.zeros((B, T), dtype=np.int64),
-        theta=np.zeros((B, T, cfg.d)),
+        theta=np.zeros((B, T, d)),
         reward=np.zeros((B, T)),
         cost=np.zeros((B, T)),
     )
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    gens = _generators(_seed_words(seeds) if words is None else words)
     # The runs still going, with their thetas and cumulative costs.
     live = np.arange(B)
     theta = np.repeat(cfg.theta0[None], B, axis=0)
     cum_cost = np.zeros(B)
+
+    def sample(runs: np.ndarray, rngs: np.ndarray, sizes: list[int]) -> np.ndarray:
+        # The rows of live runs ``runs`` at their current thetas.
+        x = np.empty((sum(sizes), d))
+        if into is not None:
+            into(theta[runs], rngs, sizes, x)
+            return x
+        for th, rng, k, lo in zip(theta[runs], rngs, sizes, accumulate(sizes, initial=0)):
+            x[lo : lo + k] = np.reshape(lm.sample(th, rng, k), (k, d))
+        return x
+
     for t, n_t in enumerate(cfg.schedule.n):
         cap = cfg.max_draws_per_iter if cfg.max_draws_per_iter is not None else 1000 * n_t
-        batch = _batch_buffer(n_t, live.size, cfg.d)
-        sels = [
-            _Selection(th, rngs[i], n_t, cap, batch[:, j])
-            for j, (i, th) in enumerate(zip(live.tolist(), theta))
-        ]
-        pending = sels
-        while pending:
-            for group in _groups(pending):
-                _accept(group, fill(group), lm.reward)
-            pending = [s for s in pending if not s.ended]
-        need, drawn, clipped = np.array([(s.need, s.drawn, s.clipped) for s in sels]).T
+        sel = _Draws(live.size, n_t, cap, _batch_buffer(n_t, live.size, d))
+        rngs = gens[live]
+        pending = np.arange(live.size)
+        while pending.size:
+            pending = _draw(sel, pending, rngs, sample, lm.reward)
+        need, drawn, clipped, batch = sel.need, sel.drawn, sel.clipped, sel.batch
         filled = need == 0
         # A run's update cannot change another run's draws, so the block
         # updates once its whole selection has ended.
@@ -464,9 +564,9 @@ def _run_block(cfg: RunConfig, seeds: list[int]) -> _Block:
         if closed is not None:
             reward = closed(theta)
         else:
-            reward = [
-                _mc_expected_reward(lm, th, cfg, seeds[i], t) for i, th in zip(live.tolist(), theta)
-            ]
+            eval_seeds = [run_seed(seeds[i], 0x45564C00 + t) for i in live.tolist()]
+            evals = _generators(_seed_words(eval_seeds))
+            reward = [_mc_expected_reward(lm, th, cfg, rng) for th, rng in zip(theta, evals)]
         out.N[live, t] = drawn
         out.theta[live, t] = theta
         out.reward[live, t] = reward
@@ -542,19 +642,18 @@ def run(cfg: RunConfig) -> RunTrace:
 
 
 def _mc_expected_reward(
-    lm: LossModel, theta: np.ndarray, cfg: RunConfig, seed: int, t: int
+    lm: LossModel, theta: np.ndarray, cfg: RunConfig, eval_rng: np.random.Generator
 ) -> float:
-    # Held-out estimate on its own per-iteration stream; not billed to
-    # the cost ledger.
-    eval_rng = np.random.default_rng(run_seed(seed, 0x45564C00 + t))
+    # Held-out estimate on its own per-iteration stream, seeded
+    # run_seed(seed, 0x45564C00 + t); not billed to the cost ledger.
     x = lm.sample(theta, eval_rng, cfg.eval_samples)
     return float(np.mean(np.clip(lm.reward(x), 0.0, 1.0)))
 
 
-def _mc_block(cfg: RunConfig, seeds: list[int], traces: int) -> _Block:
+def _mc_block(cfg: RunConfig, seeds: list[int], traces: int, words: np.ndarray) -> _Block:
     """A block of a Monte Carlo job that keeps the theta records of its
     first ``traces`` runs only, which are all its traces read."""
-    block = _run_block(cfg, seeds)
+    block = _run_block(cfg, seeds, words)
     block.theta = block.theta[: max(traces, 0)].copy()
     return block
 
@@ -636,10 +735,14 @@ def monte_carlo_jobs(
 
 def _block_args(
     cfg: RunConfig, runs: int, size: int, traces: int
-) -> list[tuple[RunConfig, list[int], int]]:
-    """The :func:`_mc_block` arguments of a job's blocks of ``size`` runs."""
+) -> list[tuple[RunConfig, list[int], int, np.ndarray]]:
+    """The :func:`_mc_block` arguments of a job's blocks of ``size`` runs;
+    the seed words of the whole job are hashed at once."""
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
-    return [(cfg, seeds[i : i + size], traces - i) for i in range(0, runs, size)]
+    words = _seed_words(seeds)
+    return [
+        (cfg, seeds[i : i + size], traces - i, words[i : i + size]) for i in range(0, runs, size)
+    ]
 
 
 def _reduce(cfg: RunConfig, blocks: list[_Block], traces: int) -> MonteCarloTrace:

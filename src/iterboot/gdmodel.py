@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -48,10 +48,10 @@ class LossModel(Protocol):
     (B, d) and batches (n, B, d), and gives each run the step it would
     get alone; ``sample_into(thetas, rngs, sizes, out)``, which fills
     ``out`` with the rows ``sample(theta, rng, size)`` would return for
-    each run of the lists in turn, bit for bit and from the same
-    streams; and ``expected_reward(theta)`` when a closed form exists,
-    which also takes a stack of thetas (B, d) and gives each the reward
-    it would get alone.
+    each run in turn (thetas as rows of a (runs, d) array), bit for bit
+    and from the same streams; and ``expected_reward(theta)`` when a
+    closed form exists, which also takes a stack of thetas (B, d) and
+    gives each the reward it would get alone.
     ``reward`` of an (n, d) batch gives each row the reward of that row
     alone, so the rows of several runs can share one call.
     """
@@ -145,8 +145,8 @@ class GaussianNll:
 
     def sample_into(
         self,
-        thetas: list[np.ndarray],
-        rngs: list[np.random.Generator],
+        thetas: np.ndarray,
+        rngs: Sequence[np.random.Generator],
         sizes: list[int],
         out: np.ndarray,
     ) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
@@ -58,6 +59,10 @@ def assert_same_files(want_dir, got_dir, count):
     assert sorted(str(p.relative_to(got_dir)) for p in got_dir.rglob("*") if p.is_file()) == names
     for name in names:
         assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
+
+
+# The real count; the fixture below replaces it in every test.
+usable_cpus = cli._usable_cpus
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +159,41 @@ class TestSimulate:
         assert main(["simulate", *args, str(tmp_path / "serial"), "--workers", "1"]) == 0
         assert starts == want
         assert_same_files(tmp_path / "serial", tmp_path / "default", 3)
+
+    @pytest.mark.parametrize(
+        "own, files, want",
+        [
+            # cgroup v2: cpu.max holds "<quota> <period>", or "max".
+            ("0::/jobs/a\n", {"jobs/a/cpu.max": "150000 100000\n"}, 2),
+            ("0::/\n", {"cpu.max": "100000 100000\n"}, 1),
+            ("0::/jobs/a\n", {"jobs/a/cpu.max": "max 100000\n"}, None),
+            # cgroup v1: the cpu controller's own hierarchy, -1 for none.
+            ("4:cpu,cpuacct:/b\n", {"cpu,cpuacct/b/cpu.cfs_quota_us": "250000\n",
+                                    "cpu,cpuacct/b/cpu.cfs_period_us": "100000\n"}, 3),
+            ("1:cpu:/\n3:cpuset:/jobs\n", {"cpu/cpu.cfs_quota_us": "-1\n",
+                                            "cpu/cpu.cfs_period_us": "100000\n"}, None),
+            # Both set: the lower quota binds.
+            ("1:cpu:/\n0::/c\n", {"cpu/cpu.cfs_quota_us": "400000\n",
+                                   "cpu/cpu.cfs_period_us": "100000\n",
+                                   "c/cpu.max": "50000 100000\n"}, 1),
+            # Missing or unreadable files, or a malformed line, set no cap.
+            ("0::/gone\n", {}, None),
+            ("garbage\n2:memory:/m\n", {"cpu.max": "1 1\n"}, None),
+            ("0::/d\n", {"d/cpu.max": "lots\n"}, None),
+            (None, {}, None),
+        ],
+    )
+    def test_cpu_quota_of_a_fake_cgroup(self, tmp_path, own, files, want):
+        root = tmp_path / "cgroup"
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        own_path = tmp_path / "self_cgroup"
+        if own is not None:
+            own_path.write_text(own)
+        assert cli._cpu_quota(root, own_path) == want
+        affinity = len(os.sched_getaffinity(0))
+        assert usable_cpus(root, own_path) == (affinity if want is None else min(affinity, want))
 
     @pytest.mark.parametrize(
         "flag, value", [("--workers", "0"), ("--workers", "-3"), ("--traces", "-2")]

@@ -1,8 +1,12 @@
 """Selection step, run execution, determinism, Monte Carlo aggregation."""
 
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,42 @@ class TestSeedSplitting:
         seeds = {run_seed(12345, i) for i in range(10_000)}
         assert len(seeds) == 10_000
 
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @staticmethod
+    def assert_default_rng(gens, seeds):
+        assert len(gens) == len(seeds)
+        for gen, seed in zip(gens, seeds):
+            want = np.random.default_rng(seed)
+            assert gen.bit_generator.state == want.bit_generator.state, seed
+            assert gen.random(3).tobytes() == want.random(3).tobytes(), seed
+            assert gen.standard_normal(5).tobytes() == want.standard_normal(5).tobytes(), seed
+
+    def test_batched_generators_are_default_rng(self):
+        # Past a few seeds the words are hashed as arrays, one row per seed.
+        seeds = self.EDGE_SEEDS + [run_seed(987654321, i) for i in range(1000)]
+        self.assert_default_rng(engine._generators(engine._seed_words(seeds)), seeds)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_lone_generator_is_default_rng(self, seed):
+        self.assert_default_rng(engine._generators(engine._seed_words([seed])), [seed])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        for seeds in ([seed], [seed] + list(range(20))):
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                engine._seed_words(seeds)
+        with pytest.raises(ValueError):
+            run(toy_config(Schedule((5,)), seed=seed))
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random on first use; a pooled command's main
+        # process never uses it, so it should not pay for importing it.
+        code = "import sys, iterboot.cli; assert 'numpy.random' not in sys.modules"
+        src = str(Path(engine.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
 
 class TestSelectBatch:
     def test_reward_one_accepts_every_draw(self):
@@ -98,13 +138,13 @@ class TestSelectBatch:
         # be about 1.4 * need / rate rows, over 800; the cap allows 64.
         monkeypatch.setattr(engine, "_CHUNK_BYTES", 64 * 2 * 8)
         chunks = []
-        accept = engine._accept
+        draw = engine._draw
 
-        def spy(group, x, reward_fn):
-            chunks.extend(s.chunk for s in group)
-            accept(group, x, reward_fn)
+        def spy(sel, runs, rngs, sample, reward_fn):
+            chunks.extend(sel.chunk[runs].tolist())
+            return draw(sel, runs, rngs, sample, reward_fn)
 
-        monkeypatch.setattr(engine, "_accept", spy)
+        monkeypatch.setattr(engine, "_draw", spy)
         n_t, runs = 20, 4000
         cfg = RunConfig(
             theta0=np.array([1.5, 1.5]),
@@ -148,6 +188,23 @@ class TestSelectBatch:
         m = GaussianModel(np.zeros(1), 1.0)
         with pytest.raises(ValueError):
             select_batch(m, ExpReward(2.0), 10, 5, rng)
+
+    @pytest.mark.parametrize("scatter_runs", [1, 10**9])
+    @pytest.mark.parametrize("group_rows", [8192, 100])
+    def test_both_row_copies_equal_reference_runs(self, monkeypatch, scatter_runs, group_rows):
+        # A group's accepted rows reach the batch by one scatter in a group
+        # of many runs with few rows each, else by a slice copy per run;
+        # force each on every group, d = 1's batch layout included.
+        from test_lockstep import CASES, RUNS, assert_same_run
+
+        monkeypatch.setattr(engine, "_SCATTER_RUNS", scatter_runs)
+        monkeypatch.setattr(engine, "_SCATTER_ROWS", 10**9)
+        monkeypatch.setattr(engine, "_GROUP_ROWS", group_rows)
+        for name, cfg in sorted(CASES.items()):
+            seeds = [run_seed(cfg.seed, i) for i in range(RUNS)]
+            block = engine._run_block(cfg, seeds)
+            for i, seed in enumerate(seeds):
+                assert_same_run(engine._trace(cfg, block, i), ref.run(replace(cfg, seed=seed)))
 
 
 class TestRun:
