@@ -23,7 +23,7 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .gaussian import optimal_reward
-from .policy import CostModel, Schedule
+from .policy import CostModel, Schedule, check_positive
 
 __all__ = [
     "MarginalLaw",
@@ -90,9 +90,8 @@ class _StepLaw:
     are positive finite reals."""
 
     def __init__(self, sigma2: float, kappa2: float) -> None:
-        for name, value in (("sigma2", sigma2), ("kappa2", kappa2)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+        check_positive("sigma2", sigma2)
+        check_positive("kappa2", kappa2)
         self.rho = sigma2 / kappa2
         self.g = 1.0 + self.rho
         self.sigma2 = sigma2
@@ -343,7 +342,7 @@ def t_star(evaluation: PolicyEvaluation, eps: float) -> int | None:
     """Smallest evaluated T with gap <= eps, or None if never reached
     within the evaluated range (constant policies have a positive gap
     floor, so None is a real outcome, not just a truncation)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     hits = np.flatnonzero(evaluation.gap <= eps)
     if hits.size == 0:

@@ -228,6 +228,7 @@ def cmd_optimal_policy(args: argparse.Namespace) -> str:
         schedule = analytic.optimal_schedule(C, T, sigma2, kappa2, theta0)
         continuous = analytic.continuous_optimum(C, T, sigma2, kappa2)
         sig2 = analytic.marginal(theta0 if theta0 is not None else 0.0, schedule, sigma2, kappa2).sigma2_T
+        brute = analytic.brute_force_optimal(C, T, sigma2, kappa2) if args.verify else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     lines = [
@@ -235,13 +236,8 @@ def cmd_optimal_policy(args: argparse.Namespace) -> str:
         f"integer schedule:   {list(schedule.n)}",
         f"sigma2_T:           {format_float(sig2)}",
     ]
-    if args.verify:
-        if C > analytic.BRUTE_FORCE_MAX_BUDGET or T > analytic.BRUTE_FORCE_MAX_ITERS:
-            raise ConfigError(
-                f"--verify needs C <= {analytic.BRUTE_FORCE_MAX_BUDGET} and "
-                f"T <= {analytic.BRUTE_FORCE_MAX_ITERS}"
-            )
-        best, best_sig2 = analytic.brute_force_optimal(C, T, sigma2, kappa2)
+    if brute is not None:
+        best, best_sig2 = brute
         ratio = sig2 / best_sig2 if best_sig2 > 0 else float("inf")
         lines += [
             f"brute force:        {list(best.n)}",

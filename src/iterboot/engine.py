@@ -73,8 +73,7 @@ def run_seed(master_seed: int, index: int) -> int:
 # of SeedSequence(seed).generate_state(4, np.uint64). For a seed below
 # 2**64 its entropy is the seed's low and high 32-bit words, and the
 # hash below is SeedSequence's (numpy/random/bit_generator.pyx) on that
-# entropy, written so that it runs on Python ints or on uint64 arrays of
-# words below 2**32, one entry per seed.
+# entropy, run on uint64 arrays of words below 2**32, one entry per seed.
 _M32 = 0xFFFFFFFF
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
@@ -89,8 +88,6 @@ def _hash_consts(h: int, mult: int, n: int) -> list[int]:
 
 _HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # pool mixing
 _HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # state generation
-# Below this many seeds, numpy's per-call cost outweighs a loop over ints.
-_ARRAY_SEEDS = 12
 
 
 def _hashmix(v, i: int, consts: list[int]):
@@ -118,9 +115,6 @@ def _seed_words(seeds: list[int]) -> np.ndarray:
     [0, 2**64), the range of :func:`run_seed`."""
     if seeds and not (0 <= min(seeds) and max(seeds) <= _MASK64):
         raise ValueError(f"seeds must lie in [0, 2**64), got {min(seeds)}..{max(seeds)}")
-    if len(seeds) < _ARRAY_SEEDS:
-        words = [_state_words(s & _M32, s >> 32) for s in seeds]
-        return np.array(words, dtype=np.uint64).reshape(len(seeds), 4)
     s = np.array(seeds, dtype=np.uint64)
     return np.stack(_state_words(s & _M32, s >> 32), axis=1)
 
@@ -265,6 +259,8 @@ class RunConfig:
                 )
         if self.eval_samples < 1:
             raise ValueError("eval_samples must be >= 1")
+        if self.r_star is not None and not math.isfinite(self.r_star):
+            raise ValueError(f"r_star must be finite, got {self.r_star!r}")
 
     @property
     def d(self) -> int:
@@ -284,24 +280,22 @@ class RunConfig:
 # cannot blow a chunk up to 70 * need rows. The first chunk is bounded
 # by the batch it fills.
 #
-# Runs move through each iteration in lockstep blocks of _BLOCK_RUNS runs
-# (a pooled block may hold more, see monte_carlo_jobs). In every draw round a
-# block's pending runs are split, in order, into groups whose chunks sum
-# to at most _GROUP_ROWS rows. A group owns one row buffer and one uniform
+# Runs move through each iteration in lockstep blocks of at least
+# _BLOCK_RUNS runs (see monte_carlo_jobs). In every draw round a block's
+# pending runs are split, in order, into groups whose chunks sum to at
+# most _GROUP_ROWS rows. A group owns one row buffer and one uniform
 # buffer: each run fills its slice of both from its own generator, rows
 # first. The group shares one reward call and one acceptance test, and
 # its accepted rows go to the runs' slots of the block's batch buffer in
-# one slice copy per run, or in one scatter for a group of at least
-# _SCATTER_RUNS runs that keep fewer than _SCATTER_ROWS rows each on
-# average: only there does the scatter's fixed cost beat the loop's. The
-# round keeps its runs' counts in arrays and updates them all in one
-# pass. A run's stream, chunk sizes and outputs do not depend on which
-# runs share its groups.
+# one scatter for a group of at least _SCATTER_RUNS runs, where the
+# scatter's fixed cost beats a loop over the runs, else in one slice copy
+# per run. The round keeps its runs' counts in arrays and updates them
+# all in one pass. A run's stream, chunk sizes and outputs do not depend
+# on which runs share its groups.
 _BLOCK_RUNS = 16
 _GROUP_ROWS = 8192
 _CHUNK_BYTES = 1 << 24
 _SCATTER_RUNS = 48
-_SCATTER_ROWS = 48
 
 
 class _Draws:
@@ -420,7 +414,7 @@ def _keep(
 ) -> None:
     """Copy the first ``take[i]`` of run ``runs[i]``'s accepted rows of
     ``x``, ``hits[first[i]:]``, to rows ``got[i]:`` of its batch slot."""
-    if runs.size >= _SCATTER_RUNS and take.sum() < _SCATTER_ROWS * runs.size:
+    if runs.size >= _SCATTER_RUNS:
         owner = np.repeat(np.arange(runs.size), take)
         rank = np.arange(owner.size) - np.repeat(np.cumsum(take) - take, take)
         # Each row viewed as one item, which numpy moves faster than a row
@@ -685,18 +679,21 @@ def monte_carlo_jobs(
     """The :func:`monte_carlo` aggregate of each ``(cfg, runs)`` job, in
     job order, each with the traces of its first ``traces`` runs.
 
-    Runs execute in lockstep blocks. Serially (``workers`` 1, no
-    ``executor``) a job's blocks hold _BLOCK_RUNS runs and run when its
-    aggregate is asked for. ``workers > 1`` spreads the blocks of every
-    job over one process pool, ``executor`` when one is given
-    (``workers`` is then its width), else a pool started for these jobs.
-    Every block of every job is queued before any result is awaited, so
-    the pool stays busy while the caller handles each aggregate as it
-    comes. Blocks are reduced in run-index order either way, so no
-    aggregate depends on the execution mode. If a job fails, or the
-    caller stops early, the blocks still queued are cancelled.
+    Runs execute in lockstep blocks, sized by one rule at every width
+    (see :func:`_block_args`). Serially (``workers`` 1, no ``executor``)
+    a job's blocks run when its aggregate is asked for. ``workers > 1``
+    spreads the blocks of every job over one process pool, ``executor``
+    when one is given (``workers`` is then its width), else a pool
+    started for these jobs. Every block of every job is queued before
+    any result is awaited, so the pool stays busy while the caller
+    handles each aggregate as it comes. Blocks are reduced in run-index
+    order either way, so no aggregate depends on the execution mode. If
+    a job fails, or the caller stops early, the blocks still queued are
+    cancelled.
     """
     jobs = list(jobs)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     for _, runs in jobs:
         if runs < 2:
             raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
@@ -704,22 +701,18 @@ def monte_carlo_jobs(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from monte_carlo_jobs(jobs, workers, pool, traces)
         return
+    # The jobs together get about two blocks per worker or more, to keep
+    # a pool's workers evenly loaded to the end.
+    most = max(1, sum(runs for _, runs in jobs) // (2 * workers))
     if executor is None:
         for cfg, runs in jobs:
-            blocks = [_mc_block(*a) for a in _block_args(cfg, runs, _BLOCK_RUNS, traces)]
+            blocks = [_mc_block(*a) for a in _block_args(cfg, runs, most, traces)]
             yield _reduce(cfg, blocks, traces)
         return
-    # A pooled block takes more than _BLOCK_RUNS runs while its batch
-    # buffer, the largest n_t rows per run, stays within _GROUP_ROWS rows,
-    # which spreads each block's array work and pool task over more runs.
-    # The jobs together get about two blocks per worker or more, to keep
-    # the workers evenly loaded to the end.
-    most = max(1, sum(runs for _, runs in jobs) // (2 * workers))
     queued: list[tuple[RunConfig, list[Future]]] = []
     try:
         for cfg, runs in jobs:
-            size = min(max(_BLOCK_RUNS, _GROUP_ROWS // max(cfg.schedule.n)), most)
-            args = _block_args(cfg, runs, size, traces)
+            args = _block_args(cfg, runs, most, traces)
             queued.append((cfg, [executor.submit(_mc_block, *a) for a in args]))
         for cfg, futures in queued:
             yield _reduce(cfg, [f.result() for f in futures], traces)
@@ -734,10 +727,14 @@ def monte_carlo_jobs(
 
 
 def _block_args(
-    cfg: RunConfig, runs: int, size: int, traces: int
+    cfg: RunConfig, runs: int, most: int, traces: int
 ) -> list[tuple[RunConfig, list[int], int, np.ndarray]]:
-    """The :func:`_mc_block` arguments of a job's blocks of ``size`` runs;
-    the seed words of the whole job are hashed at once."""
+    """The :func:`_mc_block` arguments of a job's blocks; the seed words
+    of the whole job are hashed at once. A block takes more than
+    _BLOCK_RUNS runs while its batch buffer, the largest n_t rows per
+    run, stays within _GROUP_ROWS rows, which spreads its array work (and
+    its pool task) over more runs, but never more than ``most``."""
+    size = min(max(_BLOCK_RUNS, _GROUP_ROWS // max(cfg.schedule.n)), most)
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
     words = _seed_words(seeds)
     return [

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .policy import check_positive
+
 __all__ = [
     "GaussianModel",
     "ExpReward",
@@ -46,8 +48,7 @@ class GaussianModel:
             raise ValueError(f"theta has {theta.size} coordinates, expected d={self.d}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2!r}")
+        check_positive("sigma2", self.sigma2)
         self.theta = theta
 
 
@@ -58,8 +59,7 @@ class ExpReward:
     kappa2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa2) and self.kappa2 > 0):
-            raise ValueError(f"kappa2 must be positive, got {self.kappa2!r}")
+        check_positive("kappa2", self.kappa2)
 
 
 def sample(m: GaussianModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -78,13 +78,12 @@ def reward(r: ExpReward, x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim <= 1:
         return float(np.exp(-0.5 * float(x @ x) / r.kappa2))
-    # exp(-0.5 * ||x||^2 / kappa2), computed in place. For d <= 2 the
-    # squared norm is one product or one sum of two, so column passes give
+    # exp(-0.5 * ||x||^2 / kappa2), computed in place. For d = 2 the
+    # squared norm is one sum of two products, so column passes give
     # einsum's value bit for bit, about four times faster.
-    if x.shape[1] <= 2:
+    if x.shape[1] == 2:
         e = x[:, 0] * x[:, 0]
-        if x.shape[1] == 2:
-            e += x[:, 1] * x[:, 1]
+        e += x[:, 1] * x[:, 1]
     else:
         e = np.einsum("ij,ij->i", x, x)
     e *= -0.5
@@ -105,8 +104,8 @@ def optimal_reward(d: int, sigma2: float, kappa2: float) -> float:
     (1 + sigma2/kappa2)^(-d/2)."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if sigma2 <= 0 or kappa2 <= 0:
-        raise ValueError("sigma2 and kappa2 must be positive")
+    check_positive("sigma2", sigma2)
+    check_positive("kappa2", kappa2)
     return (1.0 + sigma2 / kappa2) ** (-d / 2.0)
 
 

@@ -52,7 +52,8 @@ def _check_positive_int(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_positive(name: str, value: float) -> None:
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is a positive finite real."""
     if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
 
@@ -71,7 +72,7 @@ class PolicySpec:
             if kind is int:
                 _check_positive_int(name, getattr(self, name))
             elif kind is float:
-                _check_positive(name, getattr(self, name))
+                check_positive(name, getattr(self, name))
 
     def counts(self, T: int) -> list[int]:
         raise NotImplementedError

@@ -416,6 +416,12 @@ class TestTStar:
         with pytest.raises(ValueError):
             t_star(ev, 0.0)
 
+    def test_rejects_nan_eps(self):
+        # nan compares false against every gap, which would read as never.
+        ev = cost_curve(materialize(Constant(10), 5), np.array([1.0]), 1.0, 2.0, TRAIN_ONLY)
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            t_star(ev, math.nan)
+
     def test_scheme_ordering_at_two_percent(self):
         # cumulative training cost to reach gap <= 0.02:
         # exponential < budget-matched linear < budget-matched constant

@@ -405,7 +405,7 @@ class TestOptimalPolicy:
             ["optimal-policy", "-C", "300", "-T", "3", "--sigma2", "1", "--kappa2", "1", "--verify"]
         )
         assert code == 1
-        assert "--verify needs" in capsys.readouterr().err
+        assert "too large" in capsys.readouterr().err
 
     def test_verify_beyond_caps_prints_no_schedule(self, capsys):
         assert main(["optimal-policy", "-C", "300", "-T", "3", "--sigma2", "1", "--kappa2", "1", "--verify"]) == 1

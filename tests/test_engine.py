@@ -81,7 +81,7 @@ class TestSeedSplitting:
             assert gen.standard_normal(5).tobytes() == want.standard_normal(5).tobytes(), seed
 
     def test_batched_generators_are_default_rng(self):
-        # Past a few seeds the words are hashed as arrays, one row per seed.
+        # A job's seed words are hashed at once, one row per seed.
         seeds = self.EDGE_SEEDS + [run_seed(987654321, i) for i in range(1000)]
         self.assert_default_rng(engine._generators(engine._seed_words(seeds)), seeds)
 
@@ -193,12 +193,11 @@ class TestSelectBatch:
     @pytest.mark.parametrize("group_rows", [8192, 100])
     def test_both_row_copies_equal_reference_runs(self, monkeypatch, scatter_runs, group_rows):
         # A group's accepted rows reach the batch by one scatter in a group
-        # of many runs with few rows each, else by a slice copy per run;
-        # force each on every group, d = 1's batch layout included.
+        # of many runs, else by a slice copy per run; force each on every
+        # group, d = 1's batch layout included.
         from test_lockstep import CASES, RUNS, assert_same_run
 
         monkeypatch.setattr(engine, "_SCATTER_RUNS", scatter_runs)
-        monkeypatch.setattr(engine, "_SCATTER_ROWS", 10**9)
         monkeypatch.setattr(engine, "_GROUP_ROWS", group_rows)
         for name, cfg in sorted(CASES.items()):
             seeds = [run_seed(cfg.seed, i) for i in range(RUNS)]
@@ -255,6 +254,12 @@ class TestRun:
     def test_max_draws_must_cover_largest_batch(self):
         with pytest.raises(ValueError):
             toy_config(Schedule((10, 500)), max_draws_per_iter=100)
+
+    @pytest.mark.parametrize("r_star", [math.nan, math.inf, -math.inf])
+    def test_r_star_must_be_finite(self, r_star):
+        # A nan r_star would make every mean gap nan without an error.
+        with pytest.raises(ValueError, match="r_star must be finite"):
+            toy_config(Schedule((10,)), r_star=r_star)
 
     def test_gd_equals_mle_trajectory_bitwise(self):
         sched = materialize(Exponential(10, 0.5), 10)
@@ -348,6 +353,25 @@ class TestMonteCarlo:
     def test_rejects_single_run(self):
         with pytest.raises(ValueError):
             monte_carlo(toy_config(Schedule((5,))), 1)
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            monte_carlo(toy_config(Schedule((5,))), 2, workers=0)
+
+    def test_serial_blocks_follow_the_pooled_rule(self, monkeypatch):
+        # One block rule at every width: 200 runs at n_t <= 27 may take
+        # 8192 // 27 = 303 runs a block, capped at 200 // 2 = 100.
+        sizes = []
+        block = engine._run_block
+
+        def counting(cfg, seeds, words=None):
+            sizes.append(len(seeds))
+            return block(cfg, seeds, words)
+
+        monkeypatch.setattr(engine, "_run_block", counting)
+        cfg = toy_config(Schedule((10, 18, 27)), seed=5)
+        monte_carlo(cfg, 200, workers=1)
+        assert sizes == [100, 100]
 
     def test_same_master_seed_identical_aggregates(self):
         cfg = toy_config(Schedule((10, 15)), seed=7)
@@ -470,7 +494,7 @@ class TestMonteCarloExtras:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_traces_are_the_first_runs(self, workers):
-        # Serial blocks hold _BLOCK_RUNS = 16 runs, and with two workers a
+        # Serial blocks hold 37 // 2 = 18 runs, and with two workers a
         # block holds 37 // (2 * 2) = 9, so the 20 traces span two blocks
         # serially and three pooled.
         cfg = toy_config(Schedule((10, 15, 20)), seed=9)

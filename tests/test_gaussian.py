@@ -50,6 +50,14 @@ class TestReward:
         assert r.shape == (5,)
         assert np.all(r == 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_batch_is_the_einsum_expression_bit_for_bit(self, d):
+        # d = 2 sums its two columns directly; that and every other d give
+        # the bits of the einsum expression.
+        x = np.random.default_rng(d).standard_normal((257, d)) * 3.0
+        want = np.exp(-0.5 * np.einsum("ij,ij->i", x, x) / 0.7)
+        assert reward(ExpReward(0.7), x).tobytes() == want.tobytes()
+
 
 class TestExpectedReward:
     def test_at_origin_equals_optimal(self):
@@ -106,6 +114,15 @@ class TestOptimalReward:
         assert math.isclose(optimal_reward(2, 1.0, 2.0), 2.0 / 3.0)
         assert math.isclose(optimal_reward(1, 1.0, 1.0), 1.0 / math.sqrt(2.0))
         assert math.isclose(optimal_reward(4, 1.0, 1.0), 0.25)
+
+    @pytest.mark.parametrize(
+        "sigma2, kappa2, name",
+        [(math.nan, 1.0, "sigma2"), (math.inf, 1.0, "sigma2"), (1.0, math.inf, "kappa2"), (1.0, 0.0, "kappa2")],
+    )
+    def test_rejects_a_variance_that_is_not_positive_and_finite(self, sigma2, kappa2, name):
+        bad = sigma2 if name == "sigma2" else kappa2
+        with pytest.raises(ValueError, match=f"^{name} must be a positive finite real, got {bad!r}$"):
+            optimal_reward(2, sigma2, kappa2)
 
 
 class TestSampling:
