@@ -42,6 +42,7 @@ __all__ = [
 
 BRUTE_FORCE_MAX_BUDGET = 60
 BRUTE_FORCE_MAX_ITERS = 4
+_HERMITE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,29 @@ class PolicyEvaluation:
 
 
 def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
+    """The counts n_t; integral floats such as 10.0 are taken as ints.
+    Raises ``ValueError`` naming any count that is not an integer >= 1."""
     if isinstance(schedule, Schedule):
         return schedule.n
-    return tuple(int(v) for v in schedule)
+    ns = tuple(schedule)
+    bad = [v for v in ns if not (v >= 1 and float(v).is_integer())]
+    if bad:
+        raise ValueError(f"counts must be integers >= 1, got {', '.join(map(str, bad))}")
+    return tuple(int(v) for v in ns)
+
+
+def _theta0(theta0: np.ndarray | float) -> np.ndarray:
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
+    if not np.isfinite(theta0).all():
+        raise ValueError(f"theta0 must be finite, got {theta0.tolist()}")
+    return theta0
+
+
+def _check_budget(C: int, T: int) -> None:
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if C < T:
+        raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
 
 
 class _StepLaw:
@@ -131,11 +152,14 @@ def marginal(
 
     mu_T = theta0 / (1+rho)^T,
     sigma2_T = sigma2 * sum_t 1 / (n_t * (1+rho)^(2(T-t)-1)).
+
+    Raises ``ValueError`` for an empty schedule, a count that is not an
+    integer >= 1, a non-finite theta0, or sigma2, kappa2 not positive finite.
     """
     ns = _counts(schedule)
     if not ns:
         raise ValueError("marginal needs a non-empty schedule")
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
+    theta0 = _theta0(theta0)
     *_, (mu, var) = _StepLaw(sigma2, kappa2).trajectory(theta0, ns)
     return MarginalLaw(mu=mu, sigma2_T=var, T=len(ns), d=theta0.size)
 
@@ -152,10 +176,7 @@ def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarr
     """Real-valued budget-optimal counts n_t = C*(1+rho)^t / sum_k (1+rho)^k.
     Raises ``ValueError`` for T < 1, C < T, sigma2, kappa2 not positive
     finite, or weights C*(1+rho)^t beyond the float range."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if C < T:
-        raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
+    _check_budget(C, T)
     law = _StepLaw(sigma2, kappa2)
     with np.errstate(over="ignore"):
         weights = np.array([law.power(t) for t in range(T)])
@@ -188,9 +209,7 @@ def optimal_schedule(
     """
     continuous = continuous_optimum(C, T, sigma2, kappa2)
     if theta0 is not None:
-        theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
-        if not np.isfinite(theta0).all():
-            raise ValueError(f"theta0 must be finite, got {theta0.tolist()}")
+        theta0 = _theta0(theta0)
     floors = np.floor(continuous).astype(int)
     remainder = int(C - floors.sum())
     # Stable sort on descending fractional part; earlier index wins ties.
@@ -219,10 +238,7 @@ def brute_force_optimal(
     """Exhaustively minimize sigma2_T over all compositions of C into T
     positive parts. Independent oracle for :func:`optimal_schedule`;
     capped at C <= 60, T <= 4 to keep the enumeration manageable."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if C < T:
-        raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
+    _check_budget(C, T)
     if C > BRUTE_FORCE_MAX_BUDGET or T > BRUTE_FORCE_MAX_ITERS:
         raise ValueError(
             f"instance too large for enumeration: need C <= {BRUTE_FORCE_MAX_BUDGET} "
@@ -254,16 +270,14 @@ def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
     return kappa2 * law.g / (n0 * (2.0 + law.rho))
 
 
-def _gauss_hermite_inv_reward(
-    mu: np.ndarray, var: float, law: _StepLaw, kappa2: float, nodes: int = 64
-) -> float:
+def _gauss_hermite_inv_reward(mu: np.ndarray, var: float, law: _StepLaw, kappa2: float) -> float:
     """E[1/r(theta)] for theta ~ N(mu, var*I_d) by per-coordinate
     Gauss-Hermite quadrature. 1/r factorizes across coordinates, so a
     one-dimensional rule per coordinate suffices. Requires
     var < sigma2+kappa2 (checked by the caller), else the expectation
     diverges."""
     s = law.sigma2 + kappa2
-    z, w = np.polynomial.hermite.hermgauss(nodes)
+    z, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     out = law.power(mu.size / 2.0)
     for m in mu:
         theta = m + math.sqrt(2.0 * var) * z
@@ -291,14 +305,12 @@ def cost_curve(
     E[r] underflows to 0 or E[1/r] diverges or overflows.
     """
     ns = _counts(schedule)
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
+    theta0 = _theta0(theta0)
     if n_t_expectation not in ("ratio", "quadrature"):
         raise ValueError(f"unknown n_t_expectation {n_t_expectation!r}")
     law = _StepLaw(sigma2, kappa2)
     d = theta0.size
     r_star = optimal_reward(d, sigma2, kappa2)
-    if not np.isfinite(theta0).all():
-        raise ValueError("theta must be finite")
     rows = list(law.trajectory(theta0, ns))
     mus = np.array([mu for mu, _ in rows]).reshape(len(ns), d)
     sig2s = np.array([var for _, var in rows])

@@ -37,10 +37,25 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_linear_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: float) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+        f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x: float, y: float, body: str, size: int, anchor: str | None, extra: str = "") -> str:
+    """A sans-serif label; ``anchor`` None keeps SVG's start anchor."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor_attr} '
+        f'font-family="sans-serif" font-size="{size}"{extra}>{body}</text>'
+    )
+
+
+def _nice_linear_ticks(lo: float, hi: float) -> list[float]:
+    """About five round-numbered ticks over lo < hi."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -97,90 +112,53 @@ def render_gap_vs_cost(
     def py(v: float) -> float:
         return _MARGIN_T + (ly_hi - math.log10(v)) / (ly_hi - ly_lo) * plot_h
 
+    def points(x: np.ndarray, y: np.ndarray) -> str:
+        return " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))
+
     y_ticks = [t for t in _decade_ticks(y_lo, y_hi) if y_lo <= t <= y_hi] or [y_lo, y_hi]
-
-    parts: list[str] = []
-    parts.append('<?xml version="1.0" encoding="UTF-8"?>')
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
-        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">'
-    )
-    parts.append(f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="white"/>')
-    parts.append(
-        f'<text x="{_fmt(_WIDTH / 2)}" y="24.00" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>'
-    )
-
-    # axes
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0 + plot_w)}" '
-        f'y2="{_fmt(y0)}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(_MARGIN_T)}" x2="{_fmt(x0)}" '
-        f'y2="{_fmt(y0)}" stroke="black" stroke-width="1"/>'
-    )
+    y_mid = _MARGIN_T + plot_h / 2
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
+        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">',
+        f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="white"/>',
+        _text(_WIDTH / 2, 24.0, title, 15, "middle"),
+        # axes
+        _line(x0, y0, x0 + plot_w, y0, "black", 1),
+        _line(x0, _MARGIN_T, x0, y0, "black", 1),
+    ]
     for t in _nice_linear_ticks(x_lo, x_hi):
-        parts.append(
-            f'<line x1="{_fmt(px(t))}" y1="{_fmt(y0)}" x2="{_fmt(px(t))}" '
-            f'y2="{_fmt(y0 + 5)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px(t))}" y="{_fmt(y0 + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{t:.6g}</text>'
-        )
+        parts.append(_line(px(t), y0, px(t), y0 + 5, "black", 1))
+        parts.append(_text(px(t), y0 + 20, f"{t:.6g}", 11, "middle"))
     for t in y_ticks:
-        parts.append(
-            f'<line x1="{_fmt(x0 - 5)}" y1="{_fmt(py(t))}" x2="{_fmt(x0)}" '
-            f'y2="{_fmt(py(t))}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 - 8)}" y="{_fmt(py(t) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{t:.6g}</text>'
-        )
+        parts.append(_line(x0 - 5, py(t), x0, py(t), "black", 1))
+        parts.append(_text(x0 - 8, py(t) + 4, f"{t:.6g}", 11, "end"))
+    parts.append(_text(x0 + plot_w / 2, _HEIGHT - 12, "cumulative cost", 12, "middle"))
     parts.append(
-        f'<text x="{_fmt(x0 + plot_w / 2)}" y="{_fmt(_HEIGHT - 12)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">cumulative cost</text>'
-    )
-    parts.append(
-        f'<text x="18.00" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18.00 {_fmt(_MARGIN_T + plot_h / 2)})">gap</text>'
+        _text(18.0, y_mid, "gap", 12, "middle", f' transform="rotate(-90 18.00 {_fmt(y_mid)})"')
     )
 
+    colors = [_PALETTE[i % len(_PALETTE)] for i in range(len(series))]
     # SE bands first, polylines on top
-    for i, s in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        x = np.asarray(s.x, dtype=float)
+    for s, color in zip(series, colors):
         if s.se is not None:
-            se = np.asarray(s.se, dtype=float)
-            upper = clamp_y(np.asarray(s.y) + se)
-            lower = clamp_y(np.asarray(s.y) - se)
-            pts = [f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, upper)]
-            pts += [f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x[::-1], lower[::-1])]
+            x = np.asarray(s.x, dtype=float)
+            y, se = np.asarray(s.y), np.asarray(s.se, dtype=float)
+            band = points(np.r_[x, x[::-1]], np.r_[clamp_y(y + se), clamp_y(y - se)[::-1]])
             parts.append(
-                f'<polygon points="{" ".join(pts)}" fill="{color}" '
-                f'fill-opacity="0.15" stroke="none"/>'
+                f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>'
             )
-    for i, s in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        x = np.asarray(s.x, dtype=float)
-        y = clamp_y(np.asarray(s.y, dtype=float))
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
-        )
+    lx = x0 + plot_w - 150
+    for i, (s, color) in enumerate(zip(series, colors)):
+        curve = points(np.asarray(s.x, dtype=float), clamp_y(s.y))
         ly = _MARGIN_T + 16 + 16 * i
-        lx = x0 + plot_w - 150
-        parts.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="1.8"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{s.label}</text>'
-        )
+        parts += [
+            f'<polyline points="{curve}" fill="none" stroke="{color}" stroke-width="1.8"/>',
+            _line(lx, ly - 4, lx + 22, ly - 4, color, 1.8),
+            _text(lx + 28, ly, s.label, 12, None),
+        ]
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -51,6 +51,17 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal(1.0, [], 1.0, 2.0)
 
+    def test_rejects_a_zero_count(self):
+        # Used to divide by it and raise a bare ZeroDivisionError.
+        with pytest.raises(ValueError, match="counts must be integers >= 1, got 0"):
+            marginal(1.0, [0, 10], 1.0, 2.0)
+
+    @pytest.mark.parametrize("theta0", [[math.nan, 1.0], [math.inf]])
+    def test_rejects_a_non_finite_theta0(self, theta0):
+        # Used to return mu = [nan, 0.444], and for inf a final reward of 0.0.
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            marginal(theta0, [10] * len(theta0), 1.0, 2.0)
+
     def test_mean_norm_contracts(self):
         norms = [
             float(np.linalg.norm(marginal(np.array([1.0, 1.0]), [10] * T, 1.0, 2.0).mu))
@@ -253,6 +264,22 @@ class TestVarianceFloor:
 
 
 class TestCostCurve:
+    def test_rejects_a_fractional_count(self):
+        # Used to cut 2.5 to 2 and return n = (2, 10).
+        with pytest.raises(ValueError, match="counts must be integers >= 1, got 2.5"):
+            cost_curve([2.5, 10], 1.0, 1.0, 2.0, TRAIN_ONLY)
+
+    def test_rejects_a_negative_count(self):
+        # Used to return a negative parameter variance, sigma2_T = [-0.222, -0.032].
+        with pytest.raises(ValueError, match="counts must be integers >= 1, got -3"):
+            cost_curve([-3, 10], 1.0, 1.0, 2.0, TRAIN_ONLY)
+
+    def test_takes_integral_floats(self):
+        # Counts read back from CSV are floats; 10.0 is the count 10.
+        ev = cost_curve([10.0, 15.0], 1.0, 1.0, 2.0, TRAIN_ONLY)
+        assert ev.n == (10, 15) and all(type(v) is int for v in ev.n)
+        assert ev.gap.tolist() == cost_curve([10, 15], 1.0, 1.0, 2.0, TRAIN_ONLY).gap.tolist()
+
     def test_training_only_cost_is_prefix_sum(self):
         sched = materialize(Exponential(10, 0.5), 6)
         ev = cost_curve(sched, np.array([1.0, 1.0]), 1.0, 2.0, TRAIN_ONLY)

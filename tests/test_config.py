@@ -254,7 +254,10 @@ class TestLoad(object):
         "path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")), ids=lambda p: p.name
     )
     def test_committed_config_parses(self, path):
-        assert load_config(path).policies
+        cfg = load_config(path)
+        assert cfg.policies
+        for p in cfg.policies:
+            assert len(build_schedule(p, cfg.T).n) == cfg.T
 
 
 class TestOverride:

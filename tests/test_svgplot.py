@@ -1,5 +1,7 @@
 """Deterministic native SVG emission."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,32 @@ class TestRender:
     def test_band_optional(self):
         svg = render_gap_vs_cost([Series("x", np.array([1.0, 2.0]), np.array([0.5, 0.2]), None)])
         assert svg.count("<polygon") == 0
+
+
+def _digest(series):
+    return hashlib.sha256(render_gap_vs_cost(series).encode()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Exact output on the paths the committed toy SVGs do not reach:
+    palette wrap-around, the y floor, a single x value and a bandless
+    series beside a banded one."""
+
+    def test_more_series_than_palette_colours(self):
+        exp = demo_series()[0]
+        series = [Series(f"s{i}", exp.x, exp.y * (i + 1), exp.se) for i in range(7)]
+        assert _digest(series) == "78bf42d94e715c3811fdc611b476ae5d360bea470071dc41fecb348f56566f5f"
+
+    def test_all_zero_gaps_clamp_to_the_floor(self):
+        exp = demo_series()[0]
+        series = [Series("flat", exp.x, np.zeros(4), exp.se), Series("zero", exp.x, np.zeros(4), None)]
+        assert _digest(series) == "2a1b1e207eba5f6d4922b9fab9bb783bec6345fdfd29224b331327576d6382ec"
+
+    def test_single_x_range(self):
+        series = [Series("one", np.array([5.0, 5.0]), np.array([0.3, 0.02]), np.array([0.01, 0.01]))]
+        assert _digest(series) == "5b0d72010eb91551951c895729e0b2d53dd36380e4d4773a95d5df2259962ffa"
+
+    def test_series_without_se(self):
+        exp, _ = demo_series()
+        series = [Series("band", exp.x, exp.y, exp.se), Series("bare", exp.x, exp.y * 2.0, None)]
+        assert _digest(series) == "e93a5722aabca9c97c439dafd5b87e360766e9543f135b8b5735f166dc3146af"
