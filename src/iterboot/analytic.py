@@ -22,7 +22,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .gaussian import optimal_reward
+from .gaussian import GaussianNll, optimal_reward
 from .policy import CostModel, Schedule, check_positive
 
 __all__ = [
@@ -318,8 +318,8 @@ def cost_curve(
 
     # E[N_t] reads the law of theta^(t) before iteration t: N(mus[t-1],
     # sig2). At t=0 it is the point mass at theta0, so E[r] and E[1/r]
-    # are exact; this product is gaussian.expected_reward to the bit.
-    r_before = r_star * math.exp(-float(theta0 @ theta0) / (2.0 * (sigma2 + kappa2)))
+    # are exact.
+    r_before = GaussianNll(sigma2, kappa2, d).expected_reward(theta0)
     sig2 = 0.0
     mean_N = np.empty(len(ns))
     for t, n_t in enumerate(ns):
@@ -341,7 +341,7 @@ def cost_curve(
         T=np.arange(1, len(ns) + 1),
         reward=rewards,
         gap=r_star - rewards,
-        cum_cost=np.cumsum(cost.c_g * mean_N + cost.c_t * np.array(ns, dtype=float)),
+        cum_cost=np.cumsum(cost.bill(mean_N, np.array(ns, dtype=float))),
         mean_N=mean_N,
         mu=mus,
         sigma2_T=sig2s,

@@ -295,6 +295,9 @@ def cmd_compare(args: argparse.Namespace) -> str:
                 f"(run simulate and analytic first)"
             )
         sim, ana = _read_rows(sim_path), _read_rows(ana_path)
+        for path, rows in ((sim_path, sim), (ana_path, ana)):
+            if not rows:
+                raise ConfigError(f"policy {p.label!r}: {path} holds no rows")
         if {T: r.n_t for T, r in sim.items()} != {T: r.n_t for T, r in ana.items()}:
             raise ConfigError(
                 f"policy {p.label!r}: simulated and analytic rows differ in their T "
@@ -306,9 +309,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
                 f"policy {p.label!r}: simulated se_gap is 0 at T={zero_se[0]}, "
                 f"so the gap difference has no standard-error scale"
             )
-        report[p.label] = max(
-            (abs(sim[T].mean_gap - ana[T].mean_gap) / sim[T].se_gap for T in sim), default=0.0
-        )
+        report[p.label] = max(abs(sim[T].mean_gap - ana[T].mean_gap) / sim[T].se_gap for T in sim)
     return json.dumps(
         {
             "command": "compare",

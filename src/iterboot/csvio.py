@@ -148,7 +148,9 @@ def read_agg_csv(path: str | Path) -> list[AggRow]:
     """Parse a file written by :func:`write_agg_csv`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty: no CSV header")
         if tuple(header) != AGG_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}: {header}")
         rows = []

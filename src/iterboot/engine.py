@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import gaussian
-from .gdmodel import DivergenceError, GdUpdater, LossModel, gaussian_nll, gd_update
+from .gdmodel import DivergenceError, GdUpdater, LossModel, gd_update
 from .policy import CostModel, Schedule
 
 __all__ = [
@@ -259,6 +259,8 @@ class RunConfig:
                 )
         if self.eval_samples < 1:
             raise ValueError("eval_samples must be >= 1")
+        if not self.divergence_cap > 0:  # nan included; inf means no cap
+            raise ValueError(f"divergence_cap must be positive, got {self.divergence_cap!r}")
         if self.r_star is not None and not math.isfinite(self.r_star):
             raise ValueError(f"r_star must be finite, got {self.r_star!r}")
 
@@ -496,7 +498,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
     ``words`` are the seeds' :func:`_seed_words`, if already known."""
     lm = cfg.loss_model
     if lm is None:
-        lm = gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
+        lm = gaussian.gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
@@ -554,7 +556,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
             live, theta, drawn, cum_cost = live[ok], theta[ok], drawn[ok], cum_cost[ok]
             if not live.size:
                 break
-        cum_cost += cfg.cost.c_g * drawn + cfg.cost.c_t * n_t
+        cum_cost += cfg.cost.bill(drawn, n_t)
         if closed is not None:
             reward = closed(theta)
         else:

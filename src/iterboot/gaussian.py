@@ -5,13 +5,14 @@ The generator is N(theta, sigma2 * I_d) with a learnable mean and fixed
 variance; the reward is exp(-||x||^2 / (2*kappa2)). Everything the
 simulator needs about this pair has a closed form: the expected reward
 of a parameter, its supremum, and the exact law of a reward-accepted
-sample.
+sample. :class:`GaussianNll` is the same pair as a loss model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,8 @@ __all__ = [
     "optimal_reward",
     "mle_update",
     "post_selection_params",
+    "GaussianNll",
+    "gaussian_nll",
 ]
 
 
@@ -73,7 +76,7 @@ def sample(m: GaussianModel, rng: np.random.Generator, size: int | None = None) 
     return m.theta + scale * rng.standard_normal((size, m.d))
 
 
-def reward(r: ExpReward, x: np.ndarray) -> float | np.ndarray:
+def reward(r: ExpReward | GaussianNll, x: np.ndarray) -> float | np.ndarray:
     """Reward of a single (d,) sample or a batch of shape (n, d)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim <= 1:
@@ -94,9 +97,7 @@ def reward(r: ExpReward, x: np.ndarray) -> float | np.ndarray:
 def expected_reward(m: GaussianModel, r: ExpReward) -> float:
     """E_{x ~ N(theta, sigma2 I_d)}[R(x)], in closed form:
     (1 + sigma2/kappa2)^(-d/2) * exp(-||theta||^2 / (2*(sigma2+kappa2)))."""
-    rho = m.sigma2 / r.kappa2
-    norm2 = float(m.theta @ m.theta)
-    return (1.0 + rho) ** (-m.d / 2.0) * math.exp(-norm2 / (2.0 * (m.sigma2 + r.kappa2)))
+    return GaussianNll(m.sigma2, r.kappa2, m.d).expected_reward(m.theta)
 
 
 def optimal_reward(d: int, sigma2: float, kappa2: float) -> float:
@@ -128,3 +129,80 @@ def post_selection_params(m: GaussianModel, r: ExpReward) -> tuple[np.ndarray, f
     by R gives N(theta/(1+rho), sigma2/(1+rho) * I_d) with rho = sigma2/kappa2."""
     rho = m.sigma2 / r.kappa2
     return m.theta / (1.0 + rho), m.sigma2 / (1.0 + rho)
+
+
+@dataclass(frozen=True)
+class GaussianNll:
+    """Gaussian negative log-likelihood, constant term dropped:
+    loss(x, theta) = ||x - theta||^2 / (2*sigma2), grad = (theta - x)/sigma2.
+
+    Sampling is :func:`sample`'s expression, and the reward and expected
+    reward are :func:`reward` and :func:`expected_reward`, bit for bit, so
+    a GD run over this model with eta = sigma2 is exactly the MLE run.
+    :func:`optimal_reward` checks the parameters, once, at construction.
+    """
+
+    sigma2: float
+    kappa2: float
+    d: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_r_star", optimal_reward(self.d, self.sigma2, self.kappa2))
+
+    def loss(self, x: np.ndarray, theta: np.ndarray) -> float:
+        diff = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)
+        return float(diff @ diff) / (2.0 * self.sigma2)
+
+    def grad(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        return (np.asarray(theta, dtype=np.float64) - np.asarray(x, dtype=np.float64)) / self.sigma2
+
+    def sample(
+        self, theta: np.ndarray, rng: np.random.Generator, size: int | None = None
+    ) -> np.ndarray:
+        # sample's expression, without a GaussianModel per call.
+        shape = self.d if size is None else (size, self.d)
+        return theta + math.sqrt(self.sigma2) * rng.standard_normal(shape)
+
+    def sample_into(
+        self,
+        thetas: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        sizes: list[int],
+        out: np.ndarray,
+    ) -> None:
+        # Each run's normals in place from its own generator, then one
+        # scale and one shift for all runs: theta + s*z is s*z + theta
+        # bit for bit. A lone run's theta broadcasts, since repeating it
+        # would double the memory of the large chunks of one-run groups.
+        lo = 0
+        for rng, k in zip(rngs, sizes):
+            rng.standard_normal(out=out[lo : lo + k])
+            lo += k
+        out *= math.sqrt(self.sigma2)
+        out += thetas[0] if len(thetas) == 1 else np.repeat(thetas, sizes, axis=0)
+
+    def reward(self, x: np.ndarray) -> float | np.ndarray:
+        return reward(self, x)  # the module's reward, which reads only kappa2
+
+    def expected_reward(self, theta: np.ndarray) -> float | np.ndarray:
+        # _r_star * exp(-||theta||^2 / (2*(sigma2+kappa2))). vecdot gives each
+        # row theta @ theta bit for bit, and every theta keeps its own
+        # math.exp, which np.exp does not always match.
+        theta = np.asarray(theta, dtype=np.float64)
+        norm2 = np.vecdot(theta, theta)
+        scale = 2.0 * (self.sigma2 + self.kappa2)
+        if norm2.ndim == 0:
+            return self._r_star * math.exp(-float(norm2) / scale)
+        return np.array([self._r_star * math.exp(-v / scale) for v in norm2.tolist()])
+
+    def gd_step(self, theta: np.ndarray, D: np.ndarray, eta: float) -> np.ndarray:
+        # (1-c)*theta + c*mean(D) with c = eta/sigma2 equals the averaged
+        # gradient step exactly, and is bitwise mean(D) when eta == sigma2.
+        c = eta / self.sigma2
+        return (1.0 - c) * theta + c * D.mean(axis=0)
+
+
+def gaussian_nll(sigma2: float, kappa2: float, d: int) -> GaussianNll:
+    """Gaussian NLL loss model over N(theta, sigma2 I_d) with the
+    exponential reward of flatness kappa2."""
+    return GaussianNll(sigma2=sigma2, kappa2=kappa2, d=d)

@@ -265,10 +265,16 @@ class CostModel:
     c_t: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.c_g) and math.isfinite(self.c_t)):
+            raise ValueError(f"cost coefficients must be finite, got {self.c_g!r}, {self.c_t!r}")
         if self.c_g < 0 or self.c_t < 0:
             raise ValueError("cost coefficients must be non-negative")
         if self.c_g + self.c_t <= 0:
             raise ValueError("at least one cost coefficient must be positive")
+
+    def bill(self, generated: float, selected: float) -> float:
+        """An iteration's cost; arrays of counts give arrays of costs."""
+        return self.c_g * generated + self.c_t * selected
 
 
 def _clamp(raw: Sequence[int]) -> Schedule:

@@ -9,7 +9,7 @@ import pytest
 
 from iterboot import cli, engine
 from iterboot.cli import main
-from iterboot.csvio import read_agg_csv, write_agg_csv
+from iterboot.csvio import AGG_COLUMNS, read_agg_csv, write_agg_csv
 
 SMALL = """\
 spec_version = 1
@@ -374,6 +374,30 @@ class TestCompare:
         capsys.readouterr()
         assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
         assert f"error: line 2 of {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", ",".join(AGG_COLUMNS) + "\n"], ids=["empty", "header_only"])
+    def test_files_without_rows_are_validation_errors(self, small_cfg, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        for label in ("exp", "const"):
+            for kind in ("agg", "analytic"):
+                (out / f"{label}_{kind}.csv").write_text(text)
+        assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out / "exp_agg.csv") in captured.err
+
+    def test_analytic_file_without_rows_is_named(self, small_cfg, tmp_path, capsys):
+        assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0
+        assert main(["analytic", *out_args(small_cfg, tmp_path)]) == 0
+        path = tmp_path / "out" / "const_analytic.csv"
+        path.write_text(",".join(AGG_COLUMNS) + "\n")
+        capsys.readouterr()
+        assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: policy 'const': {path} holds no rows\n"
 
     def test_missing_inputs_rejected(self, small_cfg, tmp_path, capsys):
         assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1

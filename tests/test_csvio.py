@@ -1,5 +1,6 @@
 """CSV schema, 9-significant-digit formatting, byte-exact round trips."""
 
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -75,6 +76,12 @@ class TestRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            read_agg_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is empty: no CSV header$"):
             read_agg_csv(path)
 
     def test_row_with_extra_field_rejected(self, small_agg, tmp_path):

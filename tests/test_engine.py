@@ -59,6 +59,15 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(-1.0, 1.0)
 
+    @pytest.mark.parametrize("c_g, c_t", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf)])
+    def test_rejects_a_coefficient_that_is_not_finite(self, c_g, c_t):
+        with pytest.raises(ValueError, match="^cost coefficients must be finite"):
+            CostModel(c_g, c_t)
+
+    def test_bill_prices_generated_and_selected_samples(self):
+        assert CostModel(0.5, 2.0).bill(10, 3) == 11.0
+        assert CostModel(0.5, 2.0).bill(np.array([10, 4]), 3).tolist() == [11.0, 8.0]
+
 
 class TestSeedSplitting:
     def test_mix64_is_stable(self):
@@ -330,6 +339,27 @@ class TestDivergenceHandling:
         trace = run(cfg)
         assert trace.status == DIVERGED
         assert len(trace.records) < 3
+
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+    def test_rejects_a_cap_that_is_not_positive(self, cap):
+        with pytest.raises(ValueError, match="^divergence_cap must be positive"):
+            toy_config(Schedule((5,)), divergence_cap=cap)
+
+    def test_infinite_cap_means_no_cap(self):
+        # The exploding model's theta reaches 3e9, past the default cap.
+        cfg = RunConfig(
+            theta0=np.array([0.0]),
+            schedule=Schedule((5, 5, 5)),
+            cost=CostModel(0.0, 1.0),
+            seed=1,
+            eta=1.0,
+            loss_model=ExplodingModel(),
+            r_star=1.0,
+            divergence_cap=math.inf,
+        )
+        trace = run(cfg)
+        assert trace.status == COMPLETED
+        assert len(trace.records) == 3
 
     def test_custom_model_requires_eta_or_sigma2(self):
         with pytest.raises(ValueError, match="eta or sigma2"):

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from iterboot import gdmodel
 from iterboot.gaussian import (
     ExpReward,
     GaussianModel,
+    GaussianNll,
     expected_reward,
+    gaussian_nll,
     mle_update,
     optimal_reward,
     post_selection_params,
@@ -123,6 +126,34 @@ class TestOptimalReward:
         bad = sigma2 if name == "sigma2" else kappa2
         with pytest.raises(ValueError, match=f"^{name} must be a positive finite real, got {bad!r}$"):
             optimal_reward(2, sigma2, kappa2)
+
+
+class TestGaussianNll:
+    """The loss-model form of the pair keeps the closed forms' values and
+    their parameter checks."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_expected_reward_is_the_pairs_bit_for_bit(self, d):
+        rng = np.random.default_rng(60 + d)
+        for scale in (0.0, 0.3, 1.0, 4.0):
+            theta = rng.standard_normal(d) * scale
+            want = expected_reward(GaussianModel(theta, 0.7), ExpReward(1.3))
+            got = gaussian_nll(0.7, 1.3, d).expected_reward(theta)
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["sigma2", "kappa2"])
+    def test_rejects_a_variance_that_is_not_positive_and_finite(self, name, bad):
+        params = {"sigma2": 1.0, "kappa2": 2.0, "d": 2, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            gaussian_nll(**params)
+
+    def test_rejects_an_empty_dimension(self):
+        with pytest.raises(ValueError, match="^d "):
+            gaussian_nll(1.0, 2.0, 0)
+
+    def test_gdmodel_exports_the_same_model(self):
+        assert gdmodel.GaussianNll is GaussianNll and gdmodel.gaussian_nll is gaussian_nll
 
 
 class TestSampling:
