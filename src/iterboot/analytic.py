@@ -22,8 +22,8 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .gaussian import GaussianNll, optimal_reward
-from .policy import CostModel, Schedule, check_positive
+from .gaussian import GaussianNll, check_theta, optimal_reward
+from .policy import CostModel, Schedule, check_positive, check_positive_int
 
 __all__ = [
     "MarginalLaw",
@@ -89,16 +89,8 @@ def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
     return tuple(int(v) for v in ns)
 
 
-def _theta0(theta0: np.ndarray | float) -> np.ndarray:
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
-    if not np.isfinite(theta0).all():
-        raise ValueError(f"theta0 must be finite, got {theta0.tolist()}")
-    return theta0
-
-
 def _check_budget(C: int, T: int) -> None:
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    check_positive_int("T", T)
     if C < T:
         raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
 
@@ -154,12 +146,12 @@ def marginal(
     sigma2_T = sigma2 * sum_t 1 / (n_t * (1+rho)^(2(T-t)-1)).
 
     Raises ``ValueError`` for an empty schedule, a count that is not an
-    integer >= 1, a non-finite theta0, or sigma2, kappa2 not positive finite.
+    integer >= 1, a theta0 that ``check_theta`` rejects, or sigma2, kappa2 not positive finite.
     """
     ns = _counts(schedule)
     if not ns:
         raise ValueError("marginal needs a non-empty schedule")
-    theta0 = _theta0(theta0)
+    theta0 = check_theta("theta0", theta0)
     *_, (mu, var) = _StepLaw(sigma2, kappa2).trajectory(theta0, ns)
     return MarginalLaw(mu=mu, sigma2_T=var, T=len(ns), d=theta0.size)
 
@@ -205,11 +197,11 @@ def optimal_schedule(
     When ``theta0`` is supplied, warns if it violates the
     initial-condition hypothesis ||theta0|| <= (1+rho)^T*sqrt(d*(sigma2+kappa2))
     under which this schedule is provably optimal. Raises ``ValueError``
-    where :func:`continuous_optimum` does, and for a non-finite theta0.
+    where :func:`continuous_optimum` does, and for a theta0 ``check_theta`` rejects.
     """
     continuous = continuous_optimum(C, T, sigma2, kappa2)
     if theta0 is not None:
-        theta0 = _theta0(theta0)
+        theta0 = check_theta("theta0", theta0)
     floors = np.floor(continuous).astype(int)
     remainder = int(C - floors.sum())
     # Stable sort on descending fractional part; earlier index wins ties.
@@ -264,8 +256,7 @@ def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
     the step law's fixed point (sigma2/n0) * (1+rho) / ((1+rho)^2 - 1),
     written as kappa2 * (1+rho) / (n0 * (2+rho)) (since sigma2/rho = kappa2),
     which neither overflows at a large rho nor divides by 0 at a tiny one."""
-    if n0 < 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
+    check_positive_int("n0", n0)
     law = _StepLaw(sigma2, kappa2)
     return kappa2 * law.g / (n0 * (2.0 + law.rho))
 
@@ -301,11 +292,11 @@ def cost_curve(
     "quadrature" computes E[1/r] with a 64-node Gauss-Hermite rule.
 
     Raises ``ValueError`` unless sigma2 and kappa2 are positive finite
-    reals and theta0 is finite, and one naming the iteration T at which
-    E[r] underflows to 0 or E[1/r] diverges or overflows.
+    reals and ``check_theta`` takes theta0, and one naming the iteration T
+    at which E[r] underflows to 0 or E[1/r] diverges or overflows.
     """
     ns = _counts(schedule)
-    theta0 = _theta0(theta0)
+    theta0 = check_theta("theta0", theta0)
     if n_t_expectation not in ("ratio", "quadrature"):
         raise ValueError(f"unknown n_t_expectation {n_t_expectation!r}")
     law = _StepLaw(sigma2, kappa2)

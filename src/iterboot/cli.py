@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -184,12 +185,14 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     workers = _check_counts(args)
     cfg = _load(args)
     [aggs] = _simulate_into([(cfg, Path(cfg.out_dir))], workers, args.traces)
+    clamped = {p.label: build_schedule(p, cfg.T).clamped for p in cfg.policies}
     status = {
         label: {
             "completed": agg.runs_completed,
             "diverged": agg.runs_diverged,
             "draw_cap_hit": agg.runs_draw_capped,
             "clipped_rewards": agg.clipped_rewards,
+            "clamped": clamped[label],
         }
         for label, agg in aggs.items()
     }
@@ -204,8 +207,10 @@ def cmd_analytic(args: argparse.Namespace) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     cost = engine.CostModel(cfg.c_g, cfg.c_t)
     series = []
+    clamped = {}
     for p in cfg.policies:
         schedule = build_schedule(p, cfg.T)
+        clamped[p.label] = schedule.clamped
         try:
             ev = analytic.cost_curve(schedule, cfg.theta0, cfg.sigma2, cfg.kappa2, cost)
         except ValueError as exc:
@@ -218,7 +223,9 @@ def cmd_analytic(args: argparse.Namespace) -> str:
             out_dir / "analytic_gap_vs_cost.svg",
             render_gap_vs_cost(series, title="analytic gap vs cumulative cost"),
         )
-    return json.dumps({"command": "analytic", "out": cfg.out_dir, "policies": [p.label for p in cfg.policies]}, indent=2)
+    return json.dumps(
+        {"command": "analytic", "out": cfg.out_dir, "policies": list(clamped), "clamped": clamped}, indent=2
+    )
 
 
 def cmd_optimal_policy(args: argparse.Namespace) -> str:
@@ -295,9 +302,14 @@ def cmd_compare(args: argparse.Namespace) -> str:
                 f"(run simulate and analytic first)"
             )
         sim, ana = _read_rows(sim_path), _read_rows(ana_path)
-        for path, rows in ((sim_path, sim), (ana_path, ana)):
+        for path, rows, columns in ((sim_path, sim, ("mean_gap", "se_gap")), (ana_path, ana, ("mean_gap",))):
             if not rows:
                 raise ConfigError(f"policy {p.label!r}: {path} holds no rows")
+            for T in sorted(rows):
+                for col in columns:
+                    value = getattr(rows[T], col)
+                    if not math.isfinite(value):
+                        raise ConfigError(f"policy {p.label!r}: {path} has {col} = {value} at T={T}")
         if {T: r.n_t for T, r in sim.items()} != {T: r.n_t for T, r in ana.items()}:
             raise ConfigError(
                 f"policy {p.label!r}: simulated and analytic rows differ in their T "

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gaussian
 from .gdmodel import DivergenceError, GdUpdater, LossModel, gd_update
-from .policy import CostModel, Schedule
+from .policy import CostModel, Schedule, check_positive_int
 
 __all__ = [
     "COMPLETED",
@@ -242,23 +242,21 @@ class RunConfig:
     eval_samples: int = 10_000
 
     def __post_init__(self) -> None:
-        self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=np.float64))
-        if not np.all(np.isfinite(self.theta0)):
-            raise ValueError("theta0 must be finite")
+        self.theta0 = gaussian.check_theta("theta0", self.theta0)
         if self.loss_model is None:
             if self.sigma2 is None or self.kappa2 is None:
                 raise ValueError("sigma2 and kappa2 are required without a loss_model")
         elif self.eta is None and self.sigma2 is None:
             raise ValueError("eta or sigma2 is required for a custom loss model")
         if self.max_draws_per_iter is not None:
+            check_positive_int("max_draws_per_iter", self.max_draws_per_iter)
             biggest = max(self.schedule.n)
             if self.max_draws_per_iter < biggest:
                 raise ValueError(
                     f"max_draws_per_iter={self.max_draws_per_iter} is below the "
                     f"largest schedule entry {biggest}"
                 )
-        if self.eval_samples < 1:
-            raise ValueError("eval_samples must be >= 1")
+        check_positive_int("eval_samples", self.eval_samples)
         if not self.divergence_cap > 0:  # nan included; inf means no cap
             raise ValueError(f"divergence_cap must be positive, got {self.divergence_cap!r}")
         if self.r_star is not None and not math.isfinite(self.r_star):
@@ -694,8 +692,7 @@ def monte_carlo_jobs(
     cancelled.
     """
     jobs = list(jobs)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_positive_int("workers", workers)
     for _, runs in jobs:
         if runs < 2:
             raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")

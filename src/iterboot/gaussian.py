@@ -11,14 +11,15 @@ sample. :class:`GaussianNll` is the same pair as a loss model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .policy import check_positive
+from .policy import check_positive, check_positive_int
 
 __all__ = [
+    "check_theta",
     "GaussianModel",
     "ExpReward",
     "sample",
@@ -32,6 +33,17 @@ __all__ = [
 ]
 
 
+def check_theta(name: str, theta: np.ndarray | float) -> np.ndarray:
+    """A new 1-D float64 copy of ``theta``. Raises ``ValueError`` unless
+    ``theta`` is a scalar or a non-empty vector of finite reals."""
+    out = np.array(theta, dtype=np.float64, ndmin=1)
+    if out.ndim != 1 or out.size == 0:
+        raise ValueError(f"{name} must be a scalar or a non-empty vector, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite, got {out.tolist()}")
+    return out
+
+
 @dataclass
 class GaussianModel:
     """N(theta, sigma2 * I_d). ``theta`` is copied and checked at
@@ -39,20 +51,14 @@ class GaussianModel:
 
     theta: np.ndarray
     sigma2: float
-    d: int = field(default=0)
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1).copy()
-        if self.d == 0:
-            object.__setattr__(self, "d", theta.size)
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if theta.size != self.d:
-            raise ValueError(f"theta has {theta.size} coordinates, expected d={self.d}")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
+        self.theta = check_theta("theta", self.theta)
         check_positive("sigma2", self.sigma2)
-        self.theta = theta
+
+    @property
+    def d(self) -> int:
+        return self.theta.size
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,7 @@ def expected_reward(m: GaussianModel, r: ExpReward) -> float:
 def optimal_reward(d: int, sigma2: float, kappa2: float) -> float:
     """sup_theta of the expected reward, attained at theta = 0:
     (1 + sigma2/kappa2)^(-d/2)."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_positive_int("d", d)
     check_positive("sigma2", sigma2)
     check_positive("kappa2", kappa2)
     return (1.0 + sigma2 / kappa2) ** (-d / 2.0)

@@ -10,13 +10,13 @@ and is re-exported here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .gaussian import GaussianNll, gaussian_nll
+from .policy import check_positive
 
 __all__ = [
     "LossModel",
@@ -74,8 +74,7 @@ class GdUpdater:
     eta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
+        check_positive("eta", self.eta)
 
 
 def gd_update(
@@ -109,8 +108,7 @@ def check_gradient(
 ) -> float:
     """Max absolute error between ``model.grad`` and a central finite
     difference of ``model.loss``, coordinate by coordinate."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h!r}")
+    check_positive("h", h)
     theta = np.asarray(theta, dtype=np.float64)
     analytic = np.asarray(model.grad(x, theta), dtype=np.float64)
     worst = 0.0

@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 
-def _check_positive_int(name: str, value: int) -> None:
+def check_positive_int(name: str, value: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int >= 1 and not a bool."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
@@ -70,7 +71,7 @@ class PolicySpec:
     def __post_init__(self) -> None:
         for name, (kind, _) in spec_fields(type(self)).items():
             if kind is int:
-                _check_positive_int(name, getattr(self, name))
+                check_positive_int(name, getattr(self, name))
             elif kind is float:
                 check_positive(name, getattr(self, name))
 
@@ -128,7 +129,7 @@ class Explicit(PolicySpec):
         if not self.schedule:
             raise ValueError("Explicit policy needs a non-empty count list")
         for c in self.schedule:
-            _check_positive_int("explicit count", c)
+            check_positive_int("explicit count", c)
 
     def counts(self, T: int) -> list[int]:
         if len(self.schedule) != T:
@@ -250,8 +251,8 @@ class Schedule:
     def __post_init__(self) -> None:
         if not self.n:
             raise ValueError("Schedule must have at least one iteration")
-        if any((not isinstance(v, int)) or v < 1 for v in self.n):
-            raise ValueError(f"all schedule entries must be integers >= 1: {self.n}")
+        for v in self.n:
+            check_positive_int("schedule entry", v)
 
     def __len__(self) -> int:
         return len(self.n)
@@ -290,7 +291,7 @@ def materialize(spec: PolicySpec, T: int) -> Schedule:
     (an Explicit spec whose length is not T, a verbatim BudgetLinear
     with T < 2, counts beyond the float range).
     """
-    _check_positive_int("T", T)
+    check_positive_int("T", T)
     try:
         return _clamp(spec.counts(T))
     except OverflowError:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, files, determinism, exit codes."""
 
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import replace
@@ -275,6 +276,24 @@ class TestSimulate:
         assert "failed" in capsys.readouterr().err
 
 
+# n = 0.5 floors to 0 selected samples, which the schedule clamps to 1.
+CLAMPED = SMALL.replace("[policy const]", "[policy tiny]\nfamily = batch_constant\nn = 0.5\nB = 4\n\n[policy const]")
+
+
+@pytest.mark.parametrize("command, kind", [("simulate", "agg"), ("analytic", "analytic")])
+def test_clamped_schedules_are_reported(tmp_path, capsys, command, kind):
+    path = tmp_path / "clamped.cfg"
+    path.write_text(CLAMPED)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    if command == "simulate":
+        clamped = {label: entry["clamped"] for label, entry in summary["status"].items()}
+    else:
+        clamped = summary["clamped"]
+    assert clamped == {"exp": False, "tiny": True, "const": False}
+    assert [r.n_t for r in read_agg_csv(tmp_path / "out" / f"tiny_{kind}.csv")] == [1] * 5
+
+
 class TestAnalytic:
     def test_emits_shared_schema_and_law_detail(self, small_cfg, tmp_path, capsys):
         assert main(["analytic", *out_args(small_cfg, tmp_path)]) == 0
@@ -350,6 +369,25 @@ class TestCompare:
         assert main(["compare", *out_args(small_cfg, tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "policy 'const'" in err and "T=3" in err
+
+    @pytest.mark.parametrize(
+        "kind, column", [("agg", "mean_gap"), ("agg", "se_gap"), ("analytic", "mean_gap")]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gap_is_validation_error(self, small_cfg, tmp_path, capsys, kind, column, value):
+        # Python's max skips a nan ratio, so a nan mean_gap used to leave
+        # overall as it was, and compare exited 0.
+        assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0
+        assert main(["analytic", *out_args(small_cfg, tmp_path)]) == 0
+        path = tmp_path / "out" / f"const_{kind}.csv"
+        rows = read_agg_csv(path)
+        rows[4] = replace(rows[4], **{column: value})
+        write_agg_csv(path, rows)
+        capsys.readouterr()
+        assert main(["compare", *out_args(small_cfg, tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: policy 'const': {path} has {column} = {value} at T=5\n"
 
     def test_short_row_is_validation_error(self, small_cfg, tmp_path, capsys):
         assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0

@@ -385,7 +385,7 @@ class TestMonteCarlo:
             monte_carlo(toy_config(Schedule((5,))), 1)
 
     def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             monte_carlo(toy_config(Schedule((5,))), 2, workers=0)
 
     def test_serial_blocks_follow_the_pooled_rule(self, monkeypatch):

@@ -31,10 +31,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GaussianModel(np.array([np.inf]), 1.0)
 
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            GaussianModel(np.array([1.0, 2.0]), 1.0, d=3)
-
     def test_reward_needs_positive_kappa2(self):
         with pytest.raises(ValueError):
             ExpReward(0.0)
