@@ -90,6 +90,7 @@ def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_budget(C: int, T: int) -> None:
+    check_positive_int("C", C)
     check_positive_int("T", T)
     if C < T:
         raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")

@@ -72,6 +72,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     if args.seed is not None:
+        try:
+            engine.check_seed("--seed", args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         cfg = replace(cfg, master_seed=args.seed)
     if args.svg is not None:
         cfg = replace(cfg, emit_svg=args.svg)

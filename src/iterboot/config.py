@@ -49,6 +49,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from . import policy as pol
+from .engine import check_seed
 
 __all__ = [
     "ConfigError",
@@ -94,10 +95,6 @@ class ExperimentConfig:
     out_dir: str = _key("output", "out", key="directory")
     emit_svg: bool = _key("output", True)
     eval_samples: int = _key("output", 10_000)
-
-    @property
-    def d(self) -> int:
-        return self.theta0.size
 
 
 # (section, key) -> the ExperimentConfig field the key sets, and its type.
@@ -317,6 +314,10 @@ def _check_values(cfg: ExperimentConfig, where: Callable[[str | PolicyConfig], s
         raise ConfigError(
             f"{where('runs')}runs must be >= 2 (standard errors need at least two completed runs)"
         )
+    try:
+        check_seed("master_seed", cfg.master_seed)
+    except ValueError as exc:
+        raise ConfigError(f"{where('master_seed')}{exc}") from None
     try:
         pol.CostModel(cfg.c_g, cfg.c_t)
     except ValueError as exc:

@@ -46,6 +46,7 @@ __all__ = [
     "monte_carlo",
     "monte_carlo_jobs",
     "mix64",
+    "check_seed",
     "run_seed",
 ]
 
@@ -64,9 +65,17 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(name: str, seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an int in [0, 2**64), the
+    seeds :func:`run_seed` maps one to one, and not a bool."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+
+
 def run_seed(master_seed: int, index: int) -> int:
-    """Seed of the ``index``-th Monte Carlo run: master XOR mix64(index)."""
-    return (master_seed & _MASK64) ^ mix64(index)
+    """Seed of the ``index``-th Monte Carlo run: master XOR mix64(index),
+    for a master seed in [0, 2**64)."""
+    return master_seed ^ mix64(index)
 
 
 # np.random.default_rng(seed) seeds its PCG64 with the four 64-bit words
@@ -214,12 +223,13 @@ class MonteCarloTrace(AggregateTrace):
 @dataclass
 class RunConfig:
     """Everything one run needs. With ``loss_model`` unset the generator
-    is the Gaussian/exponential-reward pair (:func:`gaussian_nll`) built
-    from ``sigma2``, ``kappa2`` and ``theta0``; a custom
-    :class:`LossModel` supplies its own sampling/reward. Every run is
-    updated by gradient descent with step ``eta``; ``eta = None`` means
-    eta = sigma2, which for the Gaussian pair is exactly the MLE mean
-    update. A custom loss model needs ``eta`` or ``sigma2``.
+    is the Gaussian/exponential-reward pair
+    (:class:`~iterboot.gaussian.GaussianNll`) built from ``sigma2``,
+    ``kappa2`` and ``theta0``; a custom :class:`LossModel` supplies its
+    own sampling/reward. Every run is updated by gradient descent with
+    step ``eta``; ``eta = None`` means eta = sigma2, which for the
+    Gaussian pair is exactly the MLE mean update. A custom loss model
+    needs ``eta`` or ``sigma2``. ``seed`` is an int in [0, 2**64).
 
     ``max_draws_per_iter`` bounds generation per iteration (default
     1000 * n_t); ``divergence_cap`` bounds ||theta|| before a run is
@@ -243,6 +253,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.theta0 = gaussian.check_theta("theta0", self.theta0)
+        check_seed("seed", self.seed)
         if self.loss_model is None:
             if self.sigma2 is None or self.kappa2 is None:
                 raise ValueError("sigma2 and kappa2 are required without a loss_model")
@@ -496,7 +507,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
     ``words`` are the seeds' :func:`_seed_words`, if already known."""
     lm = cfg.loss_model
     if lm is None:
-        lm = gaussian.gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
+        lm = gaussian.GaussianNll(cfg.sigma2, cfg.kappa2, cfg.d)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
@@ -694,8 +705,11 @@ def monte_carlo_jobs(
     jobs = list(jobs)
     check_positive_int("workers", workers)
     for _, runs in jobs:
+        check_positive_int("runs", runs)
         if runs < 2:
             raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
+    if not isinstance(traces, int) or isinstance(traces, bool) or traces < 0:
+        raise ValueError(f"traces must be an integer >= 0, got {traces!r}")
     if executor is None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from monte_carlo_jobs(jobs, workers, pool, traces)

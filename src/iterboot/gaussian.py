@@ -29,13 +29,14 @@ __all__ = [
     "mle_update",
     "post_selection_params",
     "GaussianNll",
-    "gaussian_nll",
 ]
 
 
 def check_theta(name: str, theta: np.ndarray | float) -> np.ndarray:
     """A new 1-D float64 copy of ``theta``. Raises ``ValueError`` unless
     ``theta`` is a scalar or a non-empty vector of finite reals."""
+    if np.iscomplexobj(theta):
+        raise ValueError(f"{name} must be real, got {theta!r}")
     out = np.array(theta, dtype=np.float64, ndmin=1)
     if out.ndim != 1 or out.size == 0:
         raise ValueError(f"{name} must be a scalar or a non-empty vector, got shape {out.shape}")
@@ -205,9 +206,3 @@ class GaussianNll:
         # gradient step exactly, and is bitwise mean(D) when eta == sigma2.
         c = eta / self.sigma2
         return (1.0 - c) * theta + c * D.mean(axis=0)
-
-
-def gaussian_nll(sigma2: float, kappa2: float, d: int) -> GaussianNll:
-    """Gaussian NLL loss model over N(theta, sigma2 I_d) with the
-    exponential reward of flatness kappa2."""
-    return GaussianNll(sigma2=sigma2, kappa2=kappa2, d=d)

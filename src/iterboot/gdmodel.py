@@ -4,8 +4,7 @@ A :class:`LossModel` bundles the four behaviors the bootstrapping loop
 needs from a trainable generator: per-sample loss, its gradient in the
 parameters, sampling, and a reward in [0, 1]. :func:`gd_update` applies
 one averaged gradient step. The Gaussian instance,
-:class:`~iterboot.gaussian.GaussianNll`, lives with the pair it models
-and is re-exported here.
+:class:`~iterboot.gaussian.GaussianNll`, lives with the pair it models.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .gaussian import GaussianNll, gaussian_nll
 from .policy import check_positive
 
 __all__ = [
@@ -23,8 +21,6 @@ __all__ = [
     "GdUpdater",
     "DivergenceError",
     "gd_update",
-    "GaussianNll",
-    "gaussian_nll",
     "check_gradient",
 ]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Literal, Sequence, get_type_hints
+from typing import ClassVar, Sequence, get_type_hints
 
 __all__ = [
     "Constant",
@@ -40,9 +40,6 @@ __all__ = [
     "Schedule",
     "CostModel",
     "materialize",
-    "budget_matched_constant",
-    "budget_matched_linear",
-    "total_selected",
     "is_increasing",
 ]
 
@@ -254,9 +251,6 @@ class Schedule:
         for v in self.n:
             check_positive_int("schedule entry", v)
 
-    def __len__(self) -> int:
-        return len(self.n)
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -296,26 +290,6 @@ def materialize(spec: PolicySpec, T: int) -> Schedule:
         return _clamp(spec.counts(T))
     except OverflowError:
         raise ValueError(f"{spec.family} counts overflow a float at horizon T={T}") from None
-
-
-def budget_matched_constant(n0: int, u: float, T: int) -> Schedule:
-    """:class:`BudgetConstant` materialized over T iterations."""
-    return materialize(BudgetConstant(n0, u), T)
-
-
-def budget_matched_linear(
-    n0: int,
-    u: float,
-    T: int,
-    normalization: Literal["verbatim", "exact"] = "verbatim",
-) -> Schedule:
-    """:class:`BudgetLinear` materialized over T iterations."""
-    return materialize(BudgetLinear(n0, u, normalization), T)
-
-
-def total_selected(s: Schedule) -> int:
-    """Sum of the schedule's selected-sample counts."""
-    return sum(s.n)
 
 
 def is_increasing(s: Schedule) -> bool:

@@ -22,7 +22,8 @@ from iterboot.engine import (
     RunTrace,
     run_seed,
 )
-from iterboot.gdmodel import DivergenceError, GdUpdater, LossModel, gaussian_nll, gd_update
+from iterboot.gaussian import GaussianNll
+from iterboot.gdmodel import DivergenceError, GdUpdater, LossModel, gd_update
 
 
 def _select(
@@ -81,7 +82,7 @@ def run(cfg: RunConfig) -> RunTrace:
     theta = cfg.theta0.copy()
     lm = cfg.loss_model
     if lm is None:
-        lm = gaussian_nll(cfg.sigma2, cfg.kappa2, cfg.d)
+        lm = GaussianNll(cfg.sigma2, cfg.kappa2, cfg.d)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)

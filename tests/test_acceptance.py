@@ -33,10 +33,10 @@ from iterboot.engine import (
 )
 from iterboot.gaussian import ExpReward, GaussianModel, expected_reward, optimal_reward
 from iterboot.policy import (
+    BudgetConstant,
+    BudgetLinear,
     Exponential,
     Schedule,
-    budget_matched_constant,
-    budget_matched_linear,
     materialize,
 )
 
@@ -59,8 +59,8 @@ def toy():
     T = 15
     schedules = {
         "exponential": materialize(Exponential(10, 0.5), T),
-        "linear": budget_matched_linear(10, 0.5, T, "verbatim"),
-        "constant": budget_matched_constant(10, 0.5, T),
+        "linear": materialize(BudgetLinear(10, 0.5, "verbatim"), T),
+        "constant": materialize(BudgetConstant(10, 0.5), T),
     }
     sims = {}
     anas = {}

@@ -19,13 +19,12 @@ from iterboot.analytic import (
 from iterboot.engine import CostModel
 from iterboot.gaussian import GaussianModel, ExpReward, expected_reward
 from iterboot.policy import (
+    BudgetConstant,
+    BudgetLinear,
     Constant,
     Exponential,
     Schedule,
-    budget_matched_constant,
-    budget_matched_linear,
     materialize,
-    total_selected,
 )
 
 TRAIN_ONLY = CostModel(0.0, 1.0)
@@ -134,12 +133,12 @@ class TestOptimalSchedule:
 
     def test_total_is_exact(self):
         for C, T in [(17, 3), (53, 4), (7, 5), (29, 2)]:
-            assert total_selected(optimal_schedule(C, T, 1.0, 2.0)) == C
+            assert sum(optimal_schedule(C, T, 1.0, 2.0).n) == C
 
     def test_zero_repair_keeps_feasibility(self):
         s = optimal_schedule(4, 3, 2.0, 1.0)  # rho=2, heavily skewed
         assert all(v >= 1 for v in s.n)
-        assert total_selected(s) == 4
+        assert sum(s.n) == 4
 
     def test_warns_when_hypothesis_violated(self):
         with pytest.warns(UserWarning, match="hypothesis"):
@@ -455,8 +454,8 @@ class TestTStar:
         theta0 = np.array([1.0, 1.0])
         T = 15
         exp_ev = cost_curve(materialize(Exponential(10, 0.5), T), theta0, 1.0, 2.0, TRAIN_ONLY)
-        lin_ev = cost_curve(budget_matched_linear(10, 0.5, T), theta0, 1.0, 2.0, TRAIN_ONLY)
-        con_ev = cost_curve(budget_matched_constant(10, 0.5, T), theta0, 1.0, 2.0, TRAIN_ONLY)
+        lin_ev = cost_curve(materialize(BudgetLinear(10, 0.5), T), theta0, 1.0, 2.0, TRAIN_ONLY)
+        con_ev = cost_curve(materialize(BudgetConstant(10, 0.5), T), theta0, 1.0, 2.0, TRAIN_ONLY)
         costs = []
         for ev in (exp_ev, lin_ev, con_ev):
             ts = t_star(ev, 0.02)

@@ -197,7 +197,8 @@ class TestSimulate:
         assert usable_cpus(root, own_path) == (affinity if want is None else min(affinity, want))
 
     @pytest.mark.parametrize(
-        "flag, value", [("--workers", "0"), ("--workers", "-3"), ("--traces", "-2")]
+        "flag, value",
+        [("--workers", "0"), ("--workers", "-3"), ("--traces", "-2"), ("--seed", "-1"), ("--seed", str(2**64))],
     )
     def test_out_of_range_count_flag_is_validation_error(
         self, small_cfg, tmp_path, capsys, flag, value

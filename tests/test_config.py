@@ -64,7 +64,7 @@ eval_samples = 10000
 class TestParse:
     def test_toy_config(self):
         cfg = parse_config(TOY)
-        assert cfg.d == 2
+        assert cfg.theta0.size == 2
         assert cfg.kappa2 == 2.0
         assert np.array_equal(cfg.theta0, np.array([1.0, 1.0]))
         assert [p.label for p in cfg.policies] == ["exp", "const", "linear"]
@@ -197,6 +197,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"line {line}: {message}"):
             parse_config(text)
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_names_line(self, seed):
+        # -1 used to run as 2**64 - 1.
+        text = TOY.replace("master_seed = 20240817", f"master_seed = {seed}")
+        line = text.splitlines().index(f"master_seed = {seed}") + 1
+        with pytest.raises(ConfigError, match=rf"^line {line}: master_seed must be an integer in \[0, 2\*\*64\)"):
+            parse_config(text)
+
     def test_non_finite_theta0_names_line(self):
         with pytest.raises(ConfigError, match="line 7: theta0 must be finite"):
             parse_config(TOY.replace("theta0 = 1.0, 1.0", "theta0 = nan, 1.0"))
@@ -292,6 +300,11 @@ class TestOverride:
     def test_horizon_the_policy_cannot_fill_names_axis(self, value, policy, message):
         with pytest.raises(ConfigError, match=f"axis 'run.T': policy '{policy}': .*{message}"):
             apply_override(parse_config(TOY), "run.T", value)
+
+    @pytest.mark.parametrize("value", [-1.0, 2.0**64])
+    def test_seed_axis_outside_64_bits_rejected(self, value):
+        with pytest.raises(ConfigError, match=r"^axis 'run.master_seed': master_seed must be an integer in \[0, 2\*\*64\)"):
+            apply_override(parse_config(TOY), "run.master_seed", value)
 
     def test_non_numeric_axis_rejected(self):
         with pytest.raises(ConfigError, match="numeric"):

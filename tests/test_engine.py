@@ -462,7 +462,7 @@ class TestMonteCarlo:
             variance_floor,
         )
         from iterboot.gaussian import optimal_reward
-        from iterboot.policy import budget_matched_constant, is_increasing
+        from iterboot.policy import BudgetConstant, is_increasing
 
         theta0 = np.array([1.0, 1.0])
         initial_gap = optimal_reward(2, 1.0, 2.0) - expected_reward(
@@ -473,7 +473,7 @@ class TestMonteCarlo:
         agg = monte_carlo(toy_config(increasing, seed=5), 200)
         assert agg.mean_gap[-1] < initial_gap / 5
 
-        constant = budget_matched_constant(10, 0.5, 15)
+        constant = materialize(BudgetConstant(10, 0.5), 15)
         agg_c = monte_carlo(toy_config(constant, seed=5), 200)
         floor_gap = optimal_reward(2, 1.0, 2.0) - expected_final_reward(
             MarginalLaw(

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from iterboot import gdmodel
 from iterboot.gaussian import (
     ExpReward,
     GaussianModel,
     GaussianNll,
     expected_reward,
-    gaussian_nll,
     mle_update,
     optimal_reward,
     post_selection_params,
@@ -134,7 +132,7 @@ class TestGaussianNll:
         for scale in (0.0, 0.3, 1.0, 4.0):
             theta = rng.standard_normal(d) * scale
             want = expected_reward(GaussianModel(theta, 0.7), ExpReward(1.3))
-            got = gaussian_nll(0.7, 1.3, d).expected_reward(theta)
+            got = GaussianNll(0.7, 1.3, d).expected_reward(theta)
             assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -142,14 +140,11 @@ class TestGaussianNll:
     def test_rejects_a_variance_that_is_not_positive_and_finite(self, name, bad):
         params = {"sigma2": 1.0, "kappa2": 2.0, "d": 2, name: bad}
         with pytest.raises(ValueError, match=f"^{name} "):
-            gaussian_nll(**params)
+            GaussianNll(**params)
 
     def test_rejects_an_empty_dimension(self):
         with pytest.raises(ValueError, match="^d "):
-            gaussian_nll(1.0, 2.0, 0)
-
-    def test_gdmodel_exports_the_same_model(self):
-        assert gdmodel.GaussianNll is GaussianNll and gdmodel.gaussian_nll is gaussian_nll
+            GaussianNll(1.0, 2.0, 0)
 
 
 class TestSampling:

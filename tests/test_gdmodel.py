@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterboot.gaussian import mle_update, optimal_reward
+from iterboot.gaussian import GaussianNll, mle_update, optimal_reward
 from iterboot.gdmodel import (
     DivergenceError,
     GdUpdater,
     check_gradient,
-    gaussian_nll,
     gd_update,
 )
 
@@ -35,18 +34,18 @@ class QuarticLoss:
 
 class TestGdUpdate:
     def test_full_step_equals_sample_mean(self):
-        model = gaussian_nll(1.0, 2.0, 1)
+        model = GaussianNll(1.0, 2.0, 1)
         out = gd_update(np.array([0.0]), np.array([[2.0], [4.0]]), model, GdUpdater(1.0))
         assert out[0] == 3.0
 
     def test_half_step(self):
-        model = gaussian_nll(1.0, 2.0, 1)
+        model = GaussianNll(1.0, 2.0, 1)
         out = gd_update(np.array([0.0]), np.array([[2.0], [4.0]]), model, GdUpdater(0.5))
         assert out[0] == 1.5
 
     def test_eta_equals_sigma2_is_bitwise_mle(self):
         rng = np.random.default_rng(77)
-        model = gaussian_nll(1.0, 2.0, 3)
+        model = GaussianNll(1.0, 2.0, 3)
         for _ in range(50):
             theta = rng.normal(size=3)
             D = rng.normal(size=(rng.integers(1, 40), 3)) + theta / 1.5
@@ -55,13 +54,13 @@ class TestGdUpdate:
 
     def test_eta_equals_sigma2_is_bitwise_mle_nonunit_variance(self):
         rng = np.random.default_rng(78)
-        model = gaussian_nll(2.5, 1.0, 2)
+        model = GaussianNll(2.5, 1.0, 2)
         theta = rng.normal(size=2)
         D = rng.normal(size=(17, 2))
         assert np.array_equal(gd_update(theta, D, model, GdUpdater(2.5)), mle_update(D))
 
     def test_empty_batch_is_an_error(self):
-        model = gaussian_nll(1.0, 2.0, 1)
+        model = GaussianNll(1.0, 2.0, 1)
         with pytest.raises(ValueError):
             gd_update(np.array([0.0]), np.empty((0, 1)), model, GdUpdater(1.0))
 
@@ -93,7 +92,7 @@ class TestGdUpdate:
     )
     def test_step_size_bounded_by_mean_gradient_norm(self, eta, seed):
         rng = np.random.default_rng(seed)
-        model = gaussian_nll(1.0, 2.0, 2)
+        model = GaussianNll(1.0, 2.0, 2)
         theta = rng.normal(size=2)
         D = rng.normal(size=(rng.integers(1, 20), 2))
         new = gd_update(theta, D, model, GdUpdater(eta))
@@ -103,21 +102,21 @@ class TestGdUpdate:
 
 class TestGaussianNll:
     def test_loss_zero_at_sample(self):
-        model = gaussian_nll(1.0, 2.0, 2)
+        model = GaussianNll(1.0, 2.0, 2)
         x = np.array([0.3, -0.7])
         assert model.loss(x, x) == 0.0
 
     def test_grad_value(self):
-        model = gaussian_nll(1.0, 2.0, 1)
+        model = GaussianNll(1.0, 2.0, 1)
         assert np.array_equal(model.grad(np.array([0.0]), np.array([1.0])), np.array([1.0]))
 
     def test_loss_value(self):
-        model = gaussian_nll(2.0, 2.0, 1)
+        model = GaussianNll(2.0, 2.0, 1)
         assert model.loss(np.array([3.0]), np.array([1.0])) == 1.0
 
     def test_generic_path_matches_specialized_step(self):
         # strip gd_step to exercise the per-sample fallback
-        model = gaussian_nll(1.0, 2.0, 2)
+        model = GaussianNll(1.0, 2.0, 2)
 
         class NoStep:
             loss = model.loss
@@ -135,19 +134,19 @@ class TestGaussianNll:
 
 class TestCheckGradient:
     def test_gaussian_nll_small_h(self):
-        model = gaussian_nll(1.0, 2.0, 1)
+        model = GaussianNll(1.0, 2.0, 1)
         err = check_gradient(model, np.array([0.3]), np.array([1.1]), h=1e-5)
         assert err < 1e-6
 
     def test_quadratic_in_three_dims(self):
         rng = np.random.default_rng(2)
-        model = gaussian_nll(1.0, 2.0, 3)
+        model = GaussianNll(1.0, 2.0, 3)
         err = check_gradient(model, rng.normal(size=3), rng.normal(size=3), h=1e-5)
         assert err < 1e-6
 
     def test_large_h_still_tight_for_quadratic(self):
         # central differences are exact for quadratics up to rounding
-        model = gaussian_nll(1.0, 2.0, 1)
+        model = GaussianNll(1.0, 2.0, 1)
         err = check_gradient(model, np.array([0.3]), np.array([1.1]), h=1e-2)
         assert err < 1e-4
 
@@ -162,7 +161,7 @@ class TestCheckGradient:
 
     def test_rejects_nonpositive_h(self):
         with pytest.raises(ValueError):
-            check_gradient(gaussian_nll(1.0, 2.0, 1), np.array([0.0]), np.array([1.0]), h=0.0)
+            check_gradient(GaussianNll(1.0, 2.0, 1), np.array([0.0]), np.array([1.0]), h=0.0)
 
 
 class TestSampleInto:
@@ -170,7 +169,7 @@ class TestSampleInto:
     @pytest.mark.parametrize("sigma2", [1.0, 0.7])
     @pytest.mark.parametrize("sizes", [[37], [32, 1, 500, 64]])
     def test_fill_is_sample_bit_for_bit(self, d, sigma2, sizes):
-        lm = gaussian_nll(sigma2, 2.0, d)
+        lm = GaussianNll(sigma2, 2.0, d)
         thetas = [np.linspace(-1.0, 2.0, d) * (i + 1) for i in range(len(sizes))]
         got = [np.random.default_rng(100 + i) for i in range(len(sizes))]
         want = [np.random.default_rng(100 + i) for i in range(len(sizes))]
@@ -185,13 +184,13 @@ class TestSampleInto:
     def test_reward_is_the_einsum_expression(self, d):
         x = np.random.default_rng(d).standard_normal((5000, d)) * 2.0
         want = np.exp(-0.5 * np.einsum("ij,ij->i", x, x) / 1.7)
-        assert gaussian_nll(1.0, 1.7, d).reward(x).tobytes() == want.tobytes()
+        assert GaussianNll(1.0, 1.7, d).reward(x).tobytes() == want.tobytes()
 
 
 class TestExpectedReward:
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_stack_is_each_theta_bit_for_bit(self, d):
-        lm = gaussian_nll(0.7, 1.3, d)
+        lm = GaussianNll(0.7, 1.3, d)
         rng = np.random.default_rng(40 + d)
         thetas = rng.standard_normal((3000, d)) * rng.choice([0.01, 1.0, 5.0], size=(3000, 1))
         got = lm.expected_reward(thetas)

@@ -24,7 +24,7 @@ from iterboot.engine import (
     run,
     run_seed,
 )
-from iterboot.policy import Exponential, Schedule, budget_matched_constant, materialize
+from iterboot.policy import BudgetConstant, Exponential, Schedule, materialize
 
 RUNS = 37  # not a multiple of any block size below
 
@@ -58,7 +58,7 @@ CASES = {
     "d1": _cfg([1.0], materialize(Exponential(10, 0.5), 8), seed=11, sigma2=1.0, kappa2=2.0),
     "d2_gd_eta": _cfg(
         [1.0, -0.5],
-        budget_matched_constant(4, 0.3, 8),
+        materialize(BudgetConstant(4, 0.3), 8),
         seed=12,
         sigma2=1.0,
         kappa2=1.0,

@@ -12,16 +12,14 @@ from iterboot.policy import (
     BatchExponential,
     BatchLinear,
     BudgetConstant,
+    BudgetLinear,
     Constant,
     Explicit,
     Exponential,
     Polynomial,
     Schedule,
-    budget_matched_constant,
-    budget_matched_linear,
     is_increasing,
     materialize,
-    total_selected,
 )
 
 
@@ -90,40 +88,35 @@ class TestMaterialize:
 
 class TestBudgetMatched:
     def test_constant_examples(self):
-        assert budget_matched_constant(10, 0.5, 3).n == (15, 15, 15)
-        assert budget_matched_constant(10, 0.5, 1).n == (10,)
-        assert budget_matched_constant(1, 1.0, 4).n == (3, 3, 3, 3)
+        assert materialize(BudgetConstant(10, 0.5), 3).n == (15, 15, 15)
+        assert materialize(BudgetConstant(10, 0.5), 1).n == (10,)
+        assert materialize(BudgetConstant(1, 1.0), 4).n == (3, 3, 3, 3)
 
     def test_linear_verbatim(self):
-        assert budget_matched_linear(10, 0.5, 3).n == (15, 31, 47)
+        assert materialize(BudgetLinear(10, 0.5), 3).n == (15, 31, 47)
         # T=2: total = 10 + 15 = 25, denominator 2*1 = 2, so (t+1)*25
-        assert budget_matched_linear(10, 0.5, 2).n == (25, 50)
+        assert materialize(BudgetLinear(10, 0.5), 2).n == (25, 50)
 
     def test_linear_exact(self):
-        assert budget_matched_linear(10, 0.5, 3, "exact").n == (7, 15, 23)
+        assert materialize(BudgetLinear(10, 0.5, "exact"), 3).n == (7, 15, 23)
 
     def test_linear_verbatim_needs_two_iterations(self):
         with pytest.raises(ValueError, match="T >= 2"):
-            budget_matched_linear(10, 0.5, 1, "verbatim")
+            materialize(BudgetLinear(10, 0.5, "verbatim"), 1)
         # exact works at T=1
-        assert budget_matched_linear(10, 0.5, 1, "exact").n == (10,)
+        assert materialize(BudgetLinear(10, 0.5, "exact"), 1).n == (10,)
 
     def test_unknown_normalization(self):
         with pytest.raises(ValueError):
-            budget_matched_linear(10, 0.5, 3, "other")
+            materialize(BudgetLinear(10, 0.5, "other"), 3)
 
     def test_exact_clamps_small_first_entries(self):
-        s = budget_matched_linear(1, 0.1, 6, "exact")
+        s = materialize(BudgetLinear(1, 0.1, "exact"), 6)
         assert all(v >= 1 for v in s.n)
         assert s.clamped
 
 
 class TestScheduleOps:
-    def test_total_selected(self):
-        assert total_selected(Schedule((10, 15, 22))) == 47
-        assert total_selected(Schedule((1,))) == 1
-        assert total_selected(Schedule((15, 15, 15))) == 45
-
     def test_is_increasing(self):
         assert is_increasing(Schedule((10, 15, 22)))
         assert not is_increasing(Schedule((10, 10, 10)))
@@ -156,11 +149,11 @@ def test_exponential_ratio_tracks_growth_factor(n0, u, T):
 @settings(max_examples=200, deadline=None)
 @given(n0=st.integers(1, 200), u=st.floats(0.05, 2.0), T=st.integers(1, 30))
 def test_budget_matched_constant_total_close(n0, u, T):
-    s = budget_matched_constant(n0, u, T)
+    s = materialize(BudgetConstant(n0, u), T)
     target = sum(n0 * (1 + u) ** k for k in range(T))
     # flooring loses at most 1 per entry; clamping can only add
-    assert total_selected(s) <= target + T or s.clamped
-    assert total_selected(s) >= target - T
+    assert sum(s.n) <= target + T or s.clamped
+    assert sum(s.n) >= target - T
 
 @settings(max_examples=100, deadline=None)
 @given(n0=st.integers(1, 100), T=st.integers(1, 20))
