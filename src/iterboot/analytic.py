@@ -89,11 +89,13 @@ def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
     return tuple(int(v) for v in ns)
 
 
-def _check_budget(C: int, T: int) -> None:
-    check_positive_int("C", C)
-    check_positive_int("T", T)
+def _check_budget(C: int, T: int) -> tuple[int, int]:
+    """C and T as ints, after checking that both are integers >= 1 and
+    C >= T."""
+    C, T = check_positive_int("C", C), check_positive_int("T", T)
     if C < T:
         raise ValueError(f"budget below one sample per iteration: C={C} < T={T}")
+    return C, T
 
 
 class _StepLaw:
@@ -169,7 +171,7 @@ def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarr
     """Real-valued budget-optimal counts n_t = C*(1+rho)^t / sum_k (1+rho)^k.
     Raises ``ValueError`` for T < 1, C < T, sigma2, kappa2 not positive
     finite, or weights C*(1+rho)^t beyond the float range."""
-    _check_budget(C, T)
+    C, T = _check_budget(C, T)
     law = _StepLaw(sigma2, kappa2)
     with np.errstate(over="ignore"):
         weights = np.array([law.power(t) for t in range(T)])
@@ -231,7 +233,7 @@ def brute_force_optimal(
     """Exhaustively minimize sigma2_T over all compositions of C into T
     positive parts. Independent oracle for :func:`optimal_schedule`;
     capped at C <= 60, T <= 4 to keep the enumeration manageable."""
-    _check_budget(C, T)
+    C, T = _check_budget(C, T)
     if C > BRUTE_FORCE_MAX_BUDGET or T > BRUTE_FORCE_MAX_ITERS:
         raise ValueError(
             f"instance too large for enumeration: need C <= {BRUTE_FORCE_MAX_BUDGET} "
@@ -257,7 +259,7 @@ def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
     the step law's fixed point (sigma2/n0) * (1+rho) / ((1+rho)^2 - 1),
     written as kappa2 * (1+rho) / (n0 * (2+rho)) (since sigma2/rho = kappa2),
     which neither overflows at a large rho nor divides by 0 at a tiny one."""
-    check_positive_int("n0", n0)
+    n0 = check_positive_int("n0", n0)
     law = _StepLaw(sigma2, kappa2)
     return kappa2 * law.g / (n0 * (2.0 + law.rho))
 

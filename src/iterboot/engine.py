@@ -260,14 +260,16 @@ class RunConfig:
         elif self.eta is None and self.sigma2 is None:
             raise ValueError("eta or sigma2 is required for a custom loss model")
         if self.max_draws_per_iter is not None:
-            check_positive_int("max_draws_per_iter", self.max_draws_per_iter)
+            self.max_draws_per_iter = check_positive_int(
+                "max_draws_per_iter", self.max_draws_per_iter
+            )
             biggest = max(self.schedule.n)
             if self.max_draws_per_iter < biggest:
                 raise ValueError(
                     f"max_draws_per_iter={self.max_draws_per_iter} is below the "
                     f"largest schedule entry {biggest}"
                 )
-        check_positive_int("eval_samples", self.eval_samples)
+        self.eval_samples = check_positive_int("eval_samples", self.eval_samples)
         if not self.divergence_cap > 0:  # nan included; inf means no cap
             raise ValueError(f"divergence_cap must be positive, got {self.divergence_cap!r}")
         if self.r_star is not None and not math.isfinite(self.r_star):
@@ -287,9 +289,14 @@ class RunConfig:
 
 # Selection draws in adaptive chunks: the first is 1.25 * n_t rows (at
 # least 32), later ones 1.4 * need / rate with the observed acceptance
-# rate floored at 0.02, and at most _CHUNK_BYTES of rows, so a low rate
-# cannot blow a chunk up to 70 * need rows. The first chunk is bounded
-# by the batch it fills.
+# rate floored at 0.02, and at most _CHUNK_BYTES (1 MiB) of rows: 16 384
+# rows at d = 8, 65 536 at d = 2. So a low rate cannot blow a chunk up to
+# 70 * need rows, a chunk stays small enough for the cache, and few rows
+# are drawn past a run's last needed acceptance, where they are thrown
+# away. The first chunk is bounded by the batch it fills. A run that
+# reaches the cap draws in more, smaller chunks, each rows then
+# uniforms, so its stream differs from an uncapped one's; no chunk
+# boundary decides an acceptance, so the law of its draws is the same.
 #
 # Runs move through each iteration in lockstep blocks of at least
 # _BLOCK_RUNS runs (see monte_carlo_jobs). In every draw round a block's
@@ -305,7 +312,7 @@ class RunConfig:
 # on which runs share its groups.
 _BLOCK_RUNS = 16
 _GROUP_ROWS = 8192
-_CHUNK_BYTES = 1 << 24
+_CHUNK_BYTES = 1 << 20
 _SCATTER_RUNS = 48
 
 
@@ -702,10 +709,9 @@ def monte_carlo_jobs(
     a job fails, or the caller stops early, the blocks still queued are
     cancelled.
     """
-    jobs = list(jobs)
-    check_positive_int("workers", workers)
+    jobs = [(cfg, check_positive_int("runs", runs)) for cfg, runs in jobs]
+    workers = check_positive_int("workers", workers)
     for _, runs in jobs:
-        check_positive_int("runs", runs)
         if runs < 2:
             raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
     if not isinstance(traces, int) or isinstance(traces, bool) or traces < 0:

@@ -110,7 +110,7 @@ def expected_reward(m: GaussianModel, r: ExpReward) -> float:
 def optimal_reward(d: int, sigma2: float, kappa2: float) -> float:
     """sup_theta of the expected reward, attained at theta = 0:
     (1 + sigma2/kappa2)^(-d/2)."""
-    check_positive_int("d", d)
+    d = check_positive_int("d", d)
     check_positive("sigma2", sigma2)
     check_positive("kappa2", kappa2)
     return (1.0 + sigma2 / kappa2) ** (-d / 2.0)
@@ -145,7 +145,8 @@ class GaussianNll:
     Sampling is :func:`sample`'s expression, and the reward and expected
     reward are :func:`reward` and :func:`expected_reward`, bit for bit, so
     a GD run over this model with eta = sigma2 is exactly the MLE run.
-    :func:`optimal_reward` checks the parameters, once, at construction.
+    :func:`optimal_reward` checks the parameters, once, at construction,
+    and ``d`` is kept as an int.
     """
 
     sigma2: float
@@ -154,6 +155,7 @@ class GaussianNll:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_r_star", optimal_reward(self.d, self.sigma2, self.kappa2))
+        object.__setattr__(self, "d", int(self.d))
 
     def loss(self, x: np.ndarray, theta: np.ndarray) -> float:
         diff = np.asarray(x, dtype=np.float64) - np.asarray(theta, dtype=np.float64)

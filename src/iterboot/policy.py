@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Sequence, get_type_hints
 
@@ -44,10 +45,12 @@ __all__ = [
 ]
 
 
-def check_positive_int(name: str, value: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int >= 1 and not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+def check_positive_int(name: str, value: int) -> int:
+    """``value`` as an int; raise ``ValueError`` unless it is an integer
+    >= 1 (a Python or numpy integer, not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def check_positive(name: str, value: float) -> None:
@@ -68,7 +71,7 @@ class PolicySpec:
     def __post_init__(self) -> None:
         for name, (kind, _) in spec_fields(type(self)).items():
             if kind is int:
-                check_positive_int(name, getattr(self, name))
+                object.__setattr__(self, name, check_positive_int(name, getattr(self, name)))
             elif kind is float:
                 check_positive(name, getattr(self, name))
 
@@ -248,8 +251,8 @@ class Schedule:
     def __post_init__(self) -> None:
         if not self.n:
             raise ValueError("Schedule must have at least one iteration")
-        for v in self.n:
-            check_positive_int("schedule entry", v)
+        n = tuple(check_positive_int("schedule entry", v) for v in self.n)
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ def materialize(spec: PolicySpec, T: int) -> Schedule:
     (an Explicit spec whose length is not T, a verbatim BudgetLinear
     with T < 2, counts beyond the float range).
     """
-    check_positive_int("T", T)
+    T = check_positive_int("T", T)
     try:
         return _clamp(spec.counts(T))
     except OverflowError:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -47,6 +48,18 @@ def toy_config(schedule, seed=42, theta0=(1.0, 1.0), **kw):
         sigma2=1.0,
         kappa2=2.0,
         **kw,
+    )
+
+
+def low_accept_config(schedule, seed):
+    # The low_accept benchmark workload's model: acceptance near 2 % at theta0.
+    return RunConfig(
+        theta0=np.full(8, 0.5),
+        schedule=schedule,
+        cost=CostModel(1.0, 0.0),
+        seed=seed,
+        sigma2=1.0,
+        kappa2=0.8,
     )
 
 
@@ -175,6 +188,63 @@ class TestSelectBatch:
         m4_want = var_want**2 * (3 + 6 / n_t + p**2 / (n_t * (1 - p)))
         assert abs(failures.mean() - mean_want) < 4 * math.sqrt(var_want / runs)
         assert abs(failures.var(ddof=1) - var_want) < 4 * math.sqrt((m4_want - var_want**2) / runs)
+
+    def test_chunks_at_the_real_cap_keep_the_one_step_law(self, monkeypatch):
+        # The low-acceptance model (d = 8, acceptance near 2 %): after a
+        # first chunk of 500 rows, 1.4 * need / rate is about 24 000 rows,
+        # past the cap of _CHUNK_BYTES of rows.
+        d, n_t, runs = 8, 400, 320
+        most = engine._CHUNK_BYTES // (8 * d)
+        chunks = []
+        draw = engine._draw
+
+        def spy(sel, runs, rngs, sample, reward_fn):
+            chunks.extend(sel.chunk[runs].tolist())
+            return draw(sel, runs, rngs, sample, reward_fn)
+
+        monkeypatch.setattr(engine, "_draw", spy)
+        cfg = low_accept_config(Schedule((n_t,)), seed=2103)
+        seeds = [run_seed(cfg.seed, i) for i in range(runs)]
+        blocks = [engine._run_block(cfg, seeds[i : i + 16]) for i in range(0, runs, 16)]
+        assert max(chunks) == most and chunks.count(most) > runs / 2
+        p = expected_reward(GaussianModel(cfg.theta0, 1.0), ExpReward(0.8))
+        assert 0.02 < p < 0.03
+        # Failures before the n_t-th acceptance: NegBin(n_t, p).
+        failures = np.concatenate([b.N[:, 0] for b in blocks]).astype(float) - n_t
+        mean_want = n_t * (1 - p) / p
+        var_want = n_t * (1 - p) / p**2
+        m4_want = var_want**2 * (3 + 6 / n_t + p**2 / (n_t * (1 - p)))
+        assert abs(failures.mean() - mean_want) < 4 * math.sqrt(var_want / runs)
+        assert abs(failures.var(ddof=1) - var_want) < 4 * math.sqrt((m4_want - var_want**2) / runs)
+        # theta_1 is the mean of n_t draws of the post-selection law
+        # N(theta0 / (1+rho), sigma2 / (1+rho) I): each coordinate has mean
+        # theta0 / (1+rho) and variance sigma2 / ((1+rho) n_t).
+        rho = 1.0 / 0.8
+        theta1 = np.concatenate([b.theta[:, 0] for b in blocks])
+        var_want = 1.0 / ((1 + rho) * n_t)
+        mean_err = np.abs(theta1.mean(axis=0) - 0.5 / (1 + rho))
+        var_err = np.abs(theta1.var(axis=0, ddof=1) - var_want)
+        assert (mean_err < 4 * math.sqrt(var_want / runs)).all(), mean_err
+        assert (var_err < 4 * var_want * math.sqrt(2 / (runs - 1))).all(), var_err
+
+    def test_a_block_holds_its_batch_and_a_few_chunks_at_most(self):
+        # A chunk's rows take at most _CHUNK_BYTES, 1 MiB; its uniforms,
+        # rewards and accepted rows take less. So a block's selection
+        # peaks below its batch buffer plus three such chunks, however low
+        # its acceptance rate. With 16 MiB chunks this block peaked near
+        # 14 MB.
+        d, n_t, runs = 8, 2560, 4
+        cfg = low_accept_config(Schedule((n_t,)), seed=2104)
+        seeds = [run_seed(cfg.seed, i) for i in range(runs)]
+        engine._run_block(cfg, seeds[:1])  # numpy.random loads on first use
+        tracemalloc.start()
+        try:
+            engine._run_block(cfg, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch = n_t * runs * d * 8
+        assert peak < batch + 3 * (1 << 20), peak
 
     def test_accepted_samples_follow_post_selection_law(self):
         rng = np.random.default_rng(3)

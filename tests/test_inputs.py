@@ -1,9 +1,10 @@
 """Every library entry point reads theta, integer counts, positive reals
 and seeds by one rule each: a scalar or non-empty vector of finite reals,
-a Python int >= 1, a positive finite real, and a Python int in
-[0, 2**64)."""
+a Python or numpy integer >= 1 (kept as an int), a positive finite real,
+and a Python int in [0, 2**64)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from iterboot.analytic import (
 from iterboot.engine import CostModel, RunConfig, monte_carlo
 from iterboot.gaussian import GaussianModel, GaussianNll, check_theta, optimal_reward
 from iterboot.gdmodel import GdUpdater, check_gradient
-from iterboot.policy import Schedule
+from iterboot.policy import Constant, Schedule, materialize
 
 TRAIN_ONLY = CostModel(0.0, 1.0)
 
@@ -103,15 +104,35 @@ _COUNT_CALLS = {
 
 
 @pytest.mark.parametrize("entry", sorted(_COUNT_CALLS))
-@pytest.mark.parametrize("value", [12.5, 0, -3, True, 10.0])
+@pytest.mark.parametrize("value", [12.5, 0, -3, True, 10.0, np.bool_(True), np.float64(2.0), np.int64(0)])
 def test_every_count_must_be_an_integer_of_at_least_one(entry, value):
     # max_draws_per_iter = 12.5 used to pass and then fail in numpy's
     # reduction of a zero-size array; variance_floor(2.5, 1, 2) read 0.48;
     # optimal_schedule(21.5, 3, 1, 2) summed to 21, brute_force_optimal
     # and monte_carlo(cfg, 3.0) raised TypeError.
     name, call = _COUNT_CALLS[entry]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"):
         call(value)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8])
+def test_a_numpy_integer_count_reads_as_the_python_int(kind):
+    # optimal_schedule(np.int64(21), 3, 1, 2) and Schedule((np.int64(3),))
+    # used to be rejected, while cost_curve and marginal took numpy counts.
+    assert optimal_schedule(kind(21), kind(3), 1.0, 2.0) == optimal_schedule(21, 3, 1.0, 2.0)
+    assert continuous_optimum(kind(21), kind(3), 1.0, 2.0).tolist() == continuous_optimum(21, 3, 1.0, 2.0).tolist()
+    assert brute_force_optimal(kind(21), kind(3), 1.0, 2.0) == brute_force_optimal(21, 3, 1.0, 2.0)
+    assert variance_floor(kind(10), 1.0, 2.0) == variance_floor(10, 1.0, 2.0)
+    assert optimal_reward(kind(3), 1.0, 2.0) == optimal_reward(3, 1.0, 2.0)
+    assert type(GaussianNll(1.0, 2.0, kind(3)).d) is int
+    schedule = Schedule((kind(10), kind(3)))
+    assert schedule == Schedule((10, 3)) and [type(v) for v in schedule.n] == [int, int]
+    spec = Constant(kind(4))
+    assert type(spec.n0) is int and materialize(spec, kind(2)) == Schedule((4, 4))
+    cfg = run_config(max_draws_per_iter=kind(200), eval_samples=kind(50))
+    assert type(cfg.max_draws_per_iter) is int and type(cfg.eval_samples) is int
+    got, want = monte_carlo(run_config(), kind(3), workers=kind(1)), monte_carlo(run_config(), 3)
+    assert got.mean_gap.tolist() == want.mean_gap.tolist() and got.runs_completed == 3
 
 
 # Each positive real an entry point takes, besides the variances that
