@@ -275,16 +275,12 @@ class RunConfig:
         if self.r_star is not None and not math.isfinite(self.r_star):
             raise ValueError(f"r_star must be finite, got {self.r_star!r}")
 
-    @property
-    def d(self) -> int:
-        return self.theta0.size
-
     def resolve_r_star(self) -> float:
         if self.r_star is not None:
             return self.r_star
         if self.sigma2 is None or self.kappa2 is None:
             raise ValueError("r_star must be supplied for a custom loss model")
-        return gaussian.optimal_reward(self.d, self.sigma2, self.kappa2)
+        return gaussian.optimal_reward(self.theta0.size, self.sigma2, self.kappa2)
 
 
 # Selection draws in adaptive chunks: the first is 1.25 * n_t rows (at
@@ -323,20 +319,22 @@ class _Draws:
     its rewards were clipped. Run j's accepted rows fill ``batch[:, j]``
     (n_t rows) in draw order; its selection ends when that is full
     (``need`` 0) or on the draw cap. Until then it has accepted
-    n_t - need rows.
+    n_t - need rows. ``batch`` is a :func:`_batch_buffer` that
+    :func:`_run_block` allocates before the first round, and the first
+    :func:`_draw` for a lone :func:`_select`.
 
     N_t (``drawn``) counts draws only up to the one that produced the
     n_t-th acceptance, so cap semantics match the one-sample-at-a-time
     loop exactly."""
 
-    def __init__(self, runs: int, n_t: int, cap: int, batch: np.ndarray | None = None) -> None:
+    def __init__(self, runs: int, n_t: int, cap: int) -> None:
         if n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {n_t}")
         if cap < n_t:
             raise ValueError(f"cap={cap} cannot be below n_t={n_t}")
         self.n_t = n_t
         self.cap = cap
-        self.batch = batch
+        self.batch: np.ndarray | None = None
         self.state = np.zeros((3, runs), dtype=np.int64)
         self.need, self.drawn, self.chunk = self.state
         self.need[:] = n_t
@@ -365,12 +363,10 @@ def _draw(
     into one buffer, each run then draws its chunk's uniforms after its
     rows, and a row is accepted with probability equal to its reward,
     clipped to [0, 1]; each run's accepted rows, up to what it needs,
-    go to its batch slot. Then one pass over all the runs updates their
-    counts and next chunk sizes."""
-    # The first round of an iteration has every run pending, and updates
-    # the state in place.
-    whole = runs.size == sel.state.shape[1]
-    state = sel.state if whole else sel.state[:, runs]
+    go to its batch slot; the first group of a selection that has no
+    batch yet (a lone :func:`_select`'s) allocates it. Then one pass over
+    the runs updates their counts and next chunk sizes."""
+    state = sel.state[:, runs]
     need, drawn, chunk = state
     edges = np.zeros(runs.size + 1, dtype=np.int64)  # where each run's rows start in the round
     np.cumsum(chunk, out=edges[1:])
@@ -390,7 +386,7 @@ def _draw(
         for rng, lo, hi in zip(grngs, ends[a:b], ends[a + 1 : b + 1]):
             rng.random(out=u[lo - base : hi - base])
         r = np.asarray(reward_fn(x), dtype=np.float64)
-        bounds = edges[a : b + 1] - base if base else edges[: b + 1]
+        bounds = edges[a : b + 1] - base
         if r.min() < 0.0 or r.max() > 1.0:
             out = np.flatnonzero((r < 0.0) | (r > 1.0))
             sel.clipped[runs[a:b]] += np.diff(out.searchsorted(bounds))
@@ -416,8 +412,7 @@ def _draw(
         most = max(1, _CHUNK_BYTES // (8 * sel.batch.shape[2]))
         nxt = np.minimum(np.maximum(np.ceil(1.4 * need / rate), 32), most)
         np.minimum(sel.cap - drawn, nxt, out=chunk, casting="unsafe")
-    if not whole:
-        sel.state[:, runs] = state
+    sel.state[:, runs] = state
     return runs[go]
 
 
@@ -514,12 +509,12 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
     ``words`` are the seeds' :func:`_seed_words`, if already known."""
     lm = cfg.loss_model
     if lm is None:
-        lm = gaussian.GaussianNll(cfg.sigma2, cfg.kappa2, cfg.d)
+        lm = gaussian.GaussianNll(cfg.sigma2, cfg.kappa2, cfg.theta0.size)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)
     into = getattr(lm, "sample_into", None)
-    B, T, d = len(seeds), len(cfg.schedule.n), cfg.d
+    B, T, d = len(seeds), len(cfg.schedule.n), cfg.theta0.size
     out = _Block(
         seeds=list(seeds),
         status=[COMPLETED] * B,
@@ -548,7 +543,10 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
 
     for t, n_t in enumerate(cfg.schedule.n):
         cap = cfg.max_draws_per_iter if cfg.max_draws_per_iter is not None else 1000 * n_t
-        sel = _Draws(live.size, n_t, cap, _batch_buffer(n_t, live.size, d))
+        sel = _Draws(live.size, n_t, cap)
+        # Allocated before the chunk buffers it outlives; allocated after
+        # the first, it raised the peak RSS of d = 8 blocks by 0.5 MB.
+        sel.batch = _batch_buffer(n_t, live.size, d)
         rngs = gens[live]
         pending = np.arange(live.size)
         while pending.size:
@@ -711,9 +709,10 @@ def monte_carlo_jobs(
     """
     jobs = [(cfg, check_positive_int("runs", runs)) for cfg, runs in jobs]
     workers = check_positive_int("workers", workers)
-    for _, runs in jobs:
+    for cfg, runs in jobs:
         if runs < 2:
             raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
+        cfg.resolve_r_star()  # a custom model without r_star fails before any run
     if not isinstance(traces, int) or isinstance(traces, bool) or traces < 0:
         raise ValueError(f"traces must be an integer >= 0, got {traces!r}")
     if executor is None and workers > 1:

@@ -90,7 +90,9 @@ def reward(r: ExpReward | GaussianNll, x: np.ndarray) -> float | np.ndarray:
         return float(np.exp(-0.5 * float(x @ x) / r.kappa2))
     # exp(-0.5 * ||x||^2 / kappa2), computed in place. For d = 2 the
     # squared norm is one sum of two products, so column passes give
-    # einsum's value bit for bit, about four times faster.
+    # einsum's value bit for bit: 38 vs 68 us a call at 8192 rows, 8.7 vs
+    # 11.2 us at 512, level (5.7 vs 6.0 us) at 64 (timeit, 2-core x86-64,
+    # numpy 2.4).
     if x.shape[1] == 2:
         e = x[:, 0] * x[:, 0]
         e += x[:, 1] * x[:, 1]

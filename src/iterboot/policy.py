@@ -122,6 +122,10 @@ class Explicit(PolicySpec):
     schedule: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Real) for c in self.schedule):
+            raise ValueError(
+                f"explicit counts must be integral numbers, not bools, got {list(self.schedule)}"
+            )
         counts = tuple(int(c) for c in self.schedule)
         if counts != tuple(self.schedule):
             raise ValueError(f"explicit counts must be integral, got {list(self.schedule)}")

@@ -82,7 +82,7 @@ def run(cfg: RunConfig) -> RunTrace:
     theta = cfg.theta0.copy()
     lm = cfg.loss_model
     if lm is None:
-        lm = GaussianNll(cfg.sigma2, cfg.kappa2, cfg.d)
+        lm = GaussianNll(cfg.sigma2, cfg.kappa2, cfg.theta0.size)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
     updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
     closed = getattr(lm, "expected_reward", None)

@@ -640,6 +640,56 @@ class TestMonteCarloJobs:
         assert all(f.done() for f in submitted)
 
 
+class TestMissingOptimum:
+    """A custom model has no closed-form r*; a Monte Carlo job needs one
+    for its gaps and fails before any of its runs, a lone run does not."""
+
+    @staticmethod
+    def missing():
+        return RunConfig(
+            theta0=np.array([0.0]),
+            schedule=Schedule((5,)),
+            cost=CostModel(0.0, 1.0),
+            seed=1,
+            eta=1.0,
+            loss_model=ExplodingModel(),
+        )
+
+    def test_serial_job_runs_no_block(self, monkeypatch):
+        run(self.missing())  # a lone run needs no r*
+        calls = []
+        block = engine._run_block
+
+        def counting(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(engine, "_run_block", counting)
+        with pytest.raises(ValueError, match="r_star must be supplied"):
+            monte_carlo(self.missing(), 200)
+        assert calls == []
+
+    def test_pooled_job_starts_no_pool(self, monkeypatch):
+        starts = []
+
+        class CountedPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountedPool)
+        with pytest.raises(ValueError, match="r_star must be supplied"):
+            monte_carlo(self.missing(), 200, workers=2)
+        assert starts == []
+
+    def test_no_job_is_yielded_before_the_failing_one(self):
+        got = []
+        with pytest.raises(ValueError, match="r_star must be supplied"):
+            for agg in engine.monte_carlo_jobs([(toy_config(Schedule((5,))), 2), (self.missing(), 2)]):
+                got.append(agg)
+        assert got == []
+
+
 class TestBlockBatchLayout:
     """The summation order of a batch mean that the block's batch buffer
     relies on. A numpy whose reduction order differs fails here, naming

@@ -82,6 +82,9 @@ class TestMaterialize:
             Explicit([])
         with pytest.raises(ValueError):
             Explicit([1, 0, 2])
+        for bools in ([True, 2], [np.bool_(True), 2], (False, 1)):
+            with pytest.raises(ValueError, match="not bools"):
+                materialize(Explicit(bools), 2)
         with pytest.raises(ValueError):
             BatchConstant(1.0, 0)
 
