@@ -185,12 +185,12 @@ def _simulate_into(
     return results
 
 
-def cmd_simulate(args: argparse.Namespace) -> str:
-    workers = _check_counts(args)
-    cfg = _load(args)
-    [aggs] = _simulate_into([(cfg, Path(cfg.out_dir))], workers, args.traces)
+def _status(cfg: ExperimentConfig, aggs: dict[str, engine.MonteCarloTrace]) -> dict:
+    """What went wrong in each policy's runs of one point, by policy
+    label: its completed, diverged and draw-capped run counts, its
+    clipped rewards, and whether its schedule was clamped."""
     clamped = {p.label: build_schedule(p, cfg.T).clamped for p in cfg.policies}
-    status = {
+    return {
         label: {
             "completed": agg.runs_completed,
             "diverged": agg.runs_diverged,
@@ -200,7 +200,13 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         }
         for label, agg in aggs.items()
     }
-    return json.dumps({"command": "simulate", "out": cfg.out_dir, "status": status}, indent=2)
+
+
+def cmd_simulate(args: argparse.Namespace) -> str:
+    workers = _check_counts(args)
+    cfg = _load(args)
+    [aggs] = _simulate_into([(cfg, Path(cfg.out_dir))], workers, args.traces)
+    return json.dumps({"command": "simulate", "out": cfg.out_dir, "status": _status(cfg, aggs)}, indent=2)
 
 
 def cmd_analytic(args: argparse.Namespace) -> str:
@@ -275,14 +281,20 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     base = Path(cfg.out_dir)
     axis_slug = args.axis.replace(".", "_")
     points = [(sub_cfg, base / f"sweep_{axis_slug}_{name}") for sub_cfg, name in zip(swept, names)]
+    results = _simulate_into(points, workers)
     summary = [
         (args.axis, name, label, agg.T[-1], agg.mean_gap[-1], agg.se_gap[-1])
-        for name, aggs in zip(names, _simulate_into(points, workers))
+        for name, aggs in zip(names, results)
         for label, agg in aggs.items()
     ]
     header = ("axis", "value", "policy_label", "final_T", "mean_gap", "se_gap")
     write_text_atomic(base / "sweep_summary.csv", csv_text(header, summary))
-    return json.dumps({"command": "sweep", "axis": args.axis, "values": values, "out": str(base)}, indent=2)
+    # Each point's status, by its name, the suffix of its directory.
+    status = {name: _status(sub_cfg, aggs) for name, sub_cfg, aggs in zip(names, swept, results)}
+    return json.dumps(
+        {"command": "sweep", "axis": args.axis, "values": values, "out": str(base), "status": status},
+        indent=2,
+    )
 
 
 def _read_rows(path: Path) -> dict:

@@ -294,19 +294,23 @@ class RunConfig:
 # uniforms, so its stream differs from an uncapped one's; no chunk
 # boundary decides an acceptance, so the law of its draws is the same.
 #
-# Runs move through each iteration in lockstep blocks of at least
-# _BLOCK_RUNS runs (see monte_carlo_jobs). In every draw round a block's
-# pending runs are split, in order, into groups whose chunks sum to at
-# most _GROUP_ROWS rows. A group owns one row buffer and one uniform
-# buffer: each run fills its slice of both from its own generator, rows
-# first. The group shares one reward call and one acceptance test, and
-# its accepted rows go to the runs' slots of the block's batch buffer in
-# one scatter for a group of at least _SCATTER_RUNS runs, where the
-# scatter's fixed cost beats a loop over the runs, else in one slice copy
-# per run. The round keeps its runs' counts in arrays and updates them
-# all in one pass. A run's stream, chunk sizes and outputs do not depend
-# on which runs share its groups.
-_BLOCK_RUNS = 16
+# Runs move through each iteration in lockstep blocks of as many runs as
+# _BATCH_BYTES (1 MiB) holds batches of the largest n_t at their d, at
+# most the command's fair share (see _block_args): 6 runs at d = 8 and
+# n_t = 2560, 22 at d = 2 and n_t = 2919. A block holds one selection's
+# batch at a time, so beside its draw chunks it keeps at most 1 MiB of
+# accepted rows, unless one run's batch alone is larger. In every draw
+# round a block's pending runs are split, in order, into groups whose
+# chunks sum to at most _GROUP_ROWS rows. A group owns one row buffer
+# and one uniform buffer: each run fills its slice of both from its own
+# generator, rows first. The group shares one reward call and one
+# acceptance test, and its accepted rows go to the runs' slots of the
+# block's batch buffer in one scatter for a group of at least
+# _SCATTER_RUNS runs, where the scatter's fixed cost beats a loop over
+# the runs, else in one slice copy per run. The round keeps its runs'
+# counts in arrays and updates them all in one pass. A run's stream,
+# chunk sizes and outputs do not depend on which runs share its groups.
+_BATCH_BYTES = 1 << 20
 _GROUP_ROWS = 8192
 _CHUNK_BYTES = 1 << 20
 _SCATTER_RUNS = 48
@@ -320,8 +324,9 @@ class _Draws:
     (n_t rows) in draw order; its selection ends when that is full
     (``need`` 0) or on the draw cap. Until then it has accepted
     n_t - need rows. ``batch`` is a :func:`_batch_buffer` that
-    :func:`_run_block` allocates before the first round, and the first
-    :func:`_draw` for a lone :func:`_select`.
+    :func:`_run_block` allocates before the first round and drops once
+    it has updated from it, and the first :func:`_draw` allocates for a
+    lone :func:`_select`.
 
     N_t (``drawn``) counts draws only up to the one that produced the
     n_t-th acceptance, so cap semantics match the one-sample-at-a-time
@@ -551,11 +556,13 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
         pending = np.arange(live.size)
         while pending.size:
             pending = _draw(sel, pending, rngs, sample, lm.reward)
-        need, drawn, clipped, batch = sel.need, sel.drawn, sel.clipped, sel.batch
+        need, drawn, clipped = sel.need, sel.drawn, sel.clipped
         filled = need == 0
         # A run's update cannot change another run's draws, so the block
-        # updates once its whole selection has ended.
-        theta, finite = _step(lm, updater, theta, batch, filled)
+        # updates once its whole selection has ended. Then the batch goes,
+        # so the next selection's batch never sits beside it.
+        theta, finite = _step(lm, updater, theta, sel.batch, filled)
+        sel.batch = None
         # vecdot gives each row theta @ theta bit for bit, so its root is
         # np.linalg.norm(theta).
         ok = filled & finite & ~(np.sqrt(np.vecdot(theta, theta)) > cfg.divergence_cap)
@@ -695,17 +702,17 @@ def monte_carlo_jobs(
     """The :func:`monte_carlo` aggregate of each ``(cfg, runs)`` job, in
     job order, each with the traces of its first ``traces`` runs.
 
-    Runs execute in lockstep blocks, sized by one rule at every width
-    (see :func:`_block_args`). Serially (``workers`` 1, no ``executor``)
-    a job's blocks run when its aggregate is asked for. ``workers > 1``
-    spreads the blocks of every job over one process pool, ``executor``
-    when one is given (``workers`` is then its width), else a pool
-    started for these jobs. Every block of every job is queued before
-    any result is awaited, so the pool stays busy while the caller
-    handles each aggregate as it comes. Blocks are reduced in run-index
-    order either way, so no aggregate depends on the execution mode. If
-    a job fails, or the caller stops early, the blocks still queued are
-    cancelled.
+    Runs execute in lockstep blocks, sized by their batch bytes by one
+    rule at every width (see :func:`_block_args`). Serially (``workers``
+    1, no ``executor``) a job's blocks run when its aggregate is asked
+    for. ``workers > 1`` spreads the blocks of every job over one
+    process pool, ``executor`` when one is given (``workers`` is then
+    its width), else a pool started for these jobs. Every block of every
+    job is queued before any result is awaited, so the pool stays busy
+    while the caller handles each aggregate as it comes. Blocks are
+    reduced in run-index order either way, so no aggregate depends on
+    the execution mode. If a job fails, or the caller stops early, the
+    blocks still queued are cancelled.
     """
     jobs = [(cfg, check_positive_int("runs", runs)) for cfg, runs in jobs]
     workers = check_positive_int("workers", workers)
@@ -748,11 +755,13 @@ def _block_args(
     cfg: RunConfig, runs: int, most: int, traces: int
 ) -> list[tuple[RunConfig, list[int], int, np.ndarray]]:
     """The :func:`_mc_block` arguments of a job's blocks; the seed words
-    of the whole job are hashed at once. A block takes more than
-    _BLOCK_RUNS runs while its batch buffer, the largest n_t rows per
-    run, stays within _GROUP_ROWS rows, which spreads its array work (and
-    its pool task) over more runs, but never more than ``most``."""
-    size = min(max(_BLOCK_RUNS, _GROUP_ROWS // max(cfg.schedule.n)), most)
+    of the whole job are hashed at once. A block takes as many runs as
+    _BATCH_BYTES holds batch buffers of the largest n_t rows at the
+    job's d, which spreads its array work (and its pool task) over more
+    runs while its one batch stays small; at least one run, and never
+    more than ``most``."""
+    batch = 8 * cfg.theta0.size * max(cfg.schedule.n)
+    size = min(max(1, _BATCH_BYTES // batch), most)
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
     words = _seed_words(seeds)
     return [

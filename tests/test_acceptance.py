@@ -92,8 +92,8 @@ def test_criterion_1_lemma_moments():
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
     # Lockstep blocks give each run what it gives alone, bit for bit.
     blocks = [
-        engine._run_block(cfg, seeds[i : i + engine._BLOCK_RUNS])
-        for i in range(0, runs, engine._BLOCK_RUNS)
+        engine._run_block(cfg, seeds[i : i + 16])
+        for i in range(0, runs, 16)
     ]
     assert all(s == engine.COMPLETED for b in blocks for s in b.status)
     finals = np.concatenate([b.theta[:, -1, 0] for b in blocks])

@@ -281,18 +281,25 @@ class TestSimulate:
 CLAMPED = SMALL.replace("[policy const]", "[policy tiny]\nfamily = batch_constant\nn = 0.5\nB = 4\n\n[policy const]")
 
 
-@pytest.mark.parametrize("command, kind", [("simulate", "agg"), ("analytic", "analytic")])
+@pytest.mark.parametrize("command, kind", [("simulate", "agg"), ("analytic", "analytic"), ("sweep", "agg")])
 def test_clamped_schedules_are_reported(tmp_path, capsys, command, kind):
     path = tmp_path / "clamped.cfg"
     path.write_text(CLAMPED)
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    # A sweep over the config's own kappa2 has one point, named 2.
+    point = ["--axis", "model.kappa2", "--values", "2"] if command == "sweep" else []
+    assert main([command, "--config", str(path), "--out", str(out), *point]) == 0
     summary = json.loads(capsys.readouterr().out)
-    if command == "simulate":
-        clamped = {label: entry["clamped"] for label, entry in summary["status"].items()}
-    else:
+    if command == "analytic":
         clamped = summary["clamped"]
+    else:
+        status = summary["status"]["2"] if command == "sweep" else summary["status"]
+        assert status["exp"]["completed"] == 40 and status["exp"]["diverged"] == 0
+        clamped = {label: entry["clamped"] for label, entry in status.items()}
     assert clamped == {"exp": False, "tiny": True, "const": False}
-    assert [r.n_t for r in read_agg_csv(tmp_path / "out" / f"tiny_{kind}.csv")] == [1] * 5
+    if command == "sweep":
+        out = out / "sweep_model_kappa2_2"
+    assert [r.n_t for r in read_agg_csv(out / f"tiny_{kind}.csv")] == [1] * 5
 
 
 class TestAnalytic:

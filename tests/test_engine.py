@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -246,6 +247,24 @@ class TestSelectBatch:
         batch = n_t * runs * d * 8
         assert peak < batch + 3 * (1 << 20), peak
 
+    def test_a_block_holds_one_batch_at_a_time(self, monkeypatch):
+        # Each selection's batch is freed once the block has updated from
+        # it, before the next selection allocates its own.
+        alive = []
+        buffer = engine._batch_buffer
+
+        def spy(n_t, runs, d):
+            assert all(ref() is None for ref in alive), f"batch {len(alive) + 1} beside an older one"
+            batch = buffer(n_t, runs, d)
+            alive.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(engine, "_batch_buffer", spy)
+        cfg = low_accept_config(Schedule((640, 1280, 2560)), seed=2105)
+        block = engine._run_block(cfg, [run_seed(cfg.seed, i) for i in range(4)])
+        assert block.status == [COMPLETED] * 4
+        assert len(alive) == 3
+
     def test_accepted_samples_follow_post_selection_law(self):
         rng = np.random.default_rng(3)
         m = GaussianModel(np.array([1.0]), 1.0)
@@ -459,8 +478,9 @@ class TestMonteCarlo:
             monte_carlo(toy_config(Schedule((5,))), 2, workers=0)
 
     def test_serial_blocks_follow_the_pooled_rule(self, monkeypatch):
-        # One block rule at every width: 200 runs at n_t <= 27 may take
-        # 8192 // 27 = 303 runs a block, capped at 200 // 2 = 100.
+        # One block rule at every width: 200 runs at d = 2 and n_t <= 27
+        # may take 2**20 // (8 * 2 * 27) = 2427 runs a block, capped at
+        # 200 // 2 = 100.
         sizes = []
         block = engine._run_block
 
@@ -472,6 +492,20 @@ class TestMonteCarlo:
         cfg = toy_config(Schedule((10, 18, 27)), seed=5)
         monte_carlo(cfg, 200, workers=1)
         assert sizes == [100, 100]
+
+    @pytest.mark.parametrize(
+        "d, n, runs, most, sizes",
+        [
+            (8, 2560, 12, 100, [6, 6]),  # 2**20 // (8 * 8 * 2560) = 6
+            (2, 2919, 44, 100, [22, 22]),  # 2**20 // (8 * 2 * 2919) = 22
+            (2, 27, 800, 400, [400, 400]),  # the budget would allow 2427
+            (8, 20_000, 3, 100, [1, 1, 1]),  # one run's batch takes 1.28 MB
+        ],
+    )
+    def test_blocks_take_the_batches_a_mebibyte_holds(self, d, n, runs, most, sizes):
+        cfg = toy_config(Schedule((n // 4, n)), theta0=(0.5,) * d)
+        args = engine._block_args(cfg, runs, most, traces=0)
+        assert [len(seeds) for _, seeds, _, _ in args] == sizes
 
     def test_same_master_seed_identical_aggregates(self):
         cfg = toy_config(Schedule((10, 15)), seed=7)
@@ -500,8 +534,8 @@ class TestMonteCarlo:
         seeds = [run_seed(cfg.seed, i) for i in range(runs)]
         # Lockstep blocks give each run what it gives alone, bit for bit.
         blocks = [
-            engine._run_block(cfg, seeds[i : i + engine._BLOCK_RUNS])
-            for i in range(0, runs, engine._BLOCK_RUNS)
+            engine._run_block(cfg, seeds[i : i + 16])
+            for i in range(0, runs, 16)
         ]
         assert all(s == COMPLETED for b in blocks for s in b.status)
         finals = np.concatenate([b.theta[:, -1, 0] for b in blocks])

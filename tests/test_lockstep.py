@@ -170,9 +170,8 @@ def test_monte_carlo_equals_reference(pool, monkeypatch, name):
     want = ref.monte_carlo(cfg, RUNS)
     assert_same_aggregate(monte_carlo(cfg, RUNS), want)
     assert_same_aggregate(monte_carlo(cfg, RUNS, workers=2, executor=pool), want)
-    # Four-run pooled blocks: groups of one run keep the rows rule from
-    # growing them.
-    monkeypatch.setattr(engine, "_BLOCK_RUNS", 4)
+    # One-run pooled blocks, each drawing in groups of one run.
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1)
     monkeypatch.setattr(engine, "_GROUP_ROWS", 1)
     assert_same_aggregate(monte_carlo(cfg, RUNS, workers=2, executor=pool), want)
 
