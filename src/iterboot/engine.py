@@ -9,9 +9,10 @@ lockstep blocks that share each selection step's reward evaluation and
 keep their thetas and records in block-wide arrays; every run keeps its
 own generator and draws exactly what it would draw alone, so neither
 the block size nor the grouping changes any output. A command's Monte
-Carlo jobs go to :func:`monte_carlo_jobs` together: with a pool, every
-block of every job is queued before the first job is reduced, so the
-workers never wait for the caller between jobs.
+Carlo jobs go to :func:`monte_carlo_jobs` together: with a pool, which
+it starts and shuts down, every block of every job is queued before the
+first job is reduced, so the workers never wait for the caller between
+jobs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator
@@ -321,30 +322,30 @@ class _Draws:
     per run: what each still needs, has drawn, and the size of its next
     chunk, as the rows of ``state`` and as views of them, and how many of
     its rewards were clipped. Run j's accepted rows fill ``batch[:, j]``
-    (n_t rows) in draw order; its selection ends when that is full
-    (``need`` 0) or on the draw cap. Until then it has accepted
-    n_t - need rows. ``batch`` is a :func:`_batch_buffer` that
-    :func:`_run_block` allocates before the first round and drops once
-    it has updated from it, and the first :func:`_draw` allocates for a
-    lone :func:`_select`.
+    (n_t rows of d floats) in draw order; its selection ends when that
+    is full (``need`` 0) or on the draw cap. Until then it has accepted
+    n_t - need rows. ``batch`` is a :func:`_batch_buffer`, allocated
+    last, before the first round's chunk buffers that it outlives
+    (allocated after the first, it raised the peak RSS of d = 8 blocks
+    by 0.5 MB); :func:`_run_block` drops it once it has updated from it.
 
     N_t (``drawn``) counts draws only up to the one that produced the
     n_t-th acceptance, so cap semantics match the one-sample-at-a-time
     loop exactly."""
 
-    def __init__(self, runs: int, n_t: int, cap: int) -> None:
+    def __init__(self, runs: int, n_t: int, cap: int, d: int) -> None:
         if n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {n_t}")
         if cap < n_t:
             raise ValueError(f"cap={cap} cannot be below n_t={n_t}")
         self.n_t = n_t
         self.cap = cap
-        self.batch: np.ndarray | None = None
         self.state = np.zeros((3, runs), dtype=np.int64)
         self.need, self.drawn, self.chunk = self.state
         self.need[:] = n_t
         self.chunk[:] = min(cap, max(32, math.ceil(1.25 * n_t)))
         self.clipped = np.zeros(runs, dtype=np.int64)
+        self.batch: np.ndarray | None = _batch_buffer(n_t, runs, d)
 
 
 # The next chunk of rows of each run of a group, one run after another,
@@ -368,9 +369,8 @@ def _draw(
     into one buffer, each run then draws its chunk's uniforms after its
     rows, and a row is accepted with probability equal to its reward,
     clipped to [0, 1]; each run's accepted rows, up to what it needs,
-    go to its batch slot; the first group of a selection that has no
-    batch yet (a lone :func:`_select`'s) allocates it. Then one pass over
-    the runs updates their counts and next chunk sizes."""
+    go to its batch slot. Then one pass over the runs updates their
+    counts and next chunk sizes."""
     state = sel.state[:, runs]
     need, drawn, chunk = state
     edges = np.zeros(runs.size + 1, dtype=np.int64)  # where each run's rows start in the round
@@ -385,8 +385,6 @@ def _draw(
         base = ends[a]
         grngs = rngs[runs[a:b]]
         x = sample(runs[a:b], grngs, chunk[a:b].tolist())
-        if sel.batch is None:
-            sel.batch = _batch_buffer(sel.n_t, sel.need.size, x.shape[1])
         u = np.empty(x.shape[0])
         for rng, lo, hi in zip(grngs, ends[a:b], ends[a + 1 : b + 1]):
             rng.random(out=u[lo - base : hi - base])
@@ -451,15 +449,17 @@ def _select(
     reward_fn: Callable[[np.ndarray], np.ndarray],
     n_t: int,
     cap: int,
+    d: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int, int]:
-    """Accept/reject until n_t acceptances; returns (D, N_t, n_clipped).
-    The one-run case of the block selection; raises
-    :class:`DrawCapExceeded` if the cap would be exhausted first."""
-    sel = _Draws(1, n_t, cap)
+    """Accept/reject samples of d floats until n_t acceptances; returns
+    (D, N_t, n_clipped). The one-run case of the block selection, batch
+    allocated first like a block's; raises :class:`DrawCapExceeded` if
+    the cap would be exhausted first."""
+    sel = _Draws(1, n_t, cap, d)
     rngs = np.array([rng], dtype=object)
     pending = np.zeros(1, dtype=np.intp)
-    sample = lambda runs, rngs, sizes: np.reshape(sample_fn(sizes[0]), (sizes[0], -1))  # noqa: E731
+    sample = lambda runs, rngs, sizes: np.reshape(sample_fn(sizes[0]), (sizes[0], d))  # noqa: E731
     while pending.size:
         pending = _draw(sel, pending, rngs, sample, reward_fn)
     need, drawn, clipped = int(sel.need[0]), int(sel.drawn[0]), int(sel.clipped[0])
@@ -485,6 +485,7 @@ def select_batch(
         lambda x: gaussian.reward(reward_model, x),
         n_t,
         cap,
+        model.d,
         rng,
     )
     return D, N_t
@@ -548,10 +549,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
 
     for t, n_t in enumerate(cfg.schedule.n):
         cap = cfg.max_draws_per_iter if cfg.max_draws_per_iter is not None else 1000 * n_t
-        sel = _Draws(live.size, n_t, cap)
-        # Allocated before the chunk buffers it outlives; allocated after
-        # the first, it raised the peak RSS of d = 8 blocks by 0.5 MB.
-        sel.batch = _batch_buffer(n_t, live.size, d)
+        sel = _Draws(live.size, n_t, cap, d)
         rngs = gens[live]
         pending = np.arange(live.size)
         while pending.size:
@@ -679,7 +677,6 @@ def monte_carlo(
     cfg: RunConfig,
     runs: int,
     workers: int = 1,
-    executor: Executor | None = None,
     traces: int = 0,
 ) -> MonteCarloTrace:
     """Aggregate ``runs`` independent runs seeded by
@@ -687,16 +684,17 @@ def monte_carlo(
     the statistics and reported in the counts; the full traces of the
     first ``traces`` runs come back too. Requires at least two
     completed runs. The one-job case of :func:`monte_carlo_jobs`, which
-    says how the runs execute; the aggregate does not depend on it.
+    says how the runs execute: serially, or with ``workers > 1`` on a
+    pool of that width that lasts for this call. The aggregate does not
+    depend on it.
     """
-    (agg,) = monte_carlo_jobs([(cfg, runs)], workers, executor, traces)
+    (agg,) = monte_carlo_jobs([(cfg, runs)], workers, traces)
     return agg
 
 
 def monte_carlo_jobs(
     jobs: Iterable[tuple[RunConfig, int]],
     workers: int = 1,
-    executor: Executor | None = None,
     traces: int = 0,
 ) -> Iterator[MonteCarloTrace]:
     """The :func:`monte_carlo` aggregate of each ``(cfg, runs)`` job, in
@@ -704,15 +702,15 @@ def monte_carlo_jobs(
 
     Runs execute in lockstep blocks, sized by their batch bytes by one
     rule at every width (see :func:`_block_args`). Serially (``workers``
-    1, no ``executor``) a job's blocks run when its aggregate is asked
-    for. ``workers > 1`` spreads the blocks of every job over one
-    process pool, ``executor`` when one is given (``workers`` is then
-    its width), else a pool started for these jobs. Every block of every
-    job is queued before any result is awaited, so the pool stays busy
-    while the caller handles each aggregate as it comes. Blocks are
-    reduced in run-index order either way, so no aggregate depends on
-    the execution mode. If a job fails, or the caller stops early, the
-    blocks still queued are cancelled.
+    1) a job's blocks run when its aggregate is asked for. ``workers >
+    1`` starts one process pool of that width, which these jobs own: the
+    blocks of every job are queued on it before any result is awaited,
+    so the pool stays busy while the caller handles each aggregate as it
+    comes. Blocks are reduced in run-index order either way, so no
+    aggregate depends on the execution mode. The pool is shut down when
+    the last aggregate has been taken, or when a job fails or the caller
+    closes the generator early; then the blocks still queued are
+    cancelled and the running ones are waited for.
     """
     jobs = [(cfg, check_positive_int("runs", runs)) for cfg, runs in jobs]
     workers = check_positive_int("workers", workers)
@@ -722,33 +720,25 @@ def monte_carlo_jobs(
         cfg.resolve_r_star()  # a custom model without r_star fails before any run
     if not isinstance(traces, int) or isinstance(traces, bool) or traces < 0:
         raise ValueError(f"traces must be an integer >= 0, got {traces!r}")
-    if executor is None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from monte_carlo_jobs(jobs, workers, pool, traces)
-        return
     # The jobs together get about two blocks per worker or more, to keep
     # a pool's workers evenly loaded to the end.
     most = max(1, sum(runs for _, runs in jobs) // (2 * workers))
-    if executor is None:
+    if workers == 1:
         for cfg, runs in jobs:
             blocks = [_mc_block(*a) for a in _block_args(cfg, runs, most, traces)]
             yield _reduce(cfg, blocks, traces)
         return
-    queued: list[tuple[RunConfig, list[Future]]] = []
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        for cfg, runs in jobs:
-            args = _block_args(cfg, runs, most, traces)
-            queued.append((cfg, [executor.submit(_mc_block, *a) for a in args]))
+        queued = [
+            (cfg, [pool.submit(_mc_block, *a) for a in _block_args(cfg, runs, most, traces)])
+            for cfg, runs in jobs
+        ]
         for cfg, futures in queued:
             yield _reduce(cfg, [f.result() for f in futures], traces)
             futures.clear()  # the futures hold the job's block arrays
     finally:
-        # A no-op once every block is done; on an error or an early stop
-        # the blocks not yet started are dropped, so the pool can shut
-        # down after the running ones.
-        for _, futures in queued:
-            for f in futures:
-                f.cancel()
+        pool.shutdown(cancel_futures=True)
 
 
 def _block_args(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
-from iterboot import engine
+from iterboot import engine, gaussian
 from iterboot.analytic import marginal
 from iterboot.csvio import run_trace_csv_text
 from iterboot.engine import (
@@ -33,6 +33,7 @@ from iterboot.engine import (
 from iterboot.gaussian import (
     ExpReward,
     GaussianModel,
+    GaussianNll,
     expected_reward,
     mle_update,
     post_selection_params,
@@ -264,6 +265,47 @@ class TestSelectBatch:
         block = engine._run_block(cfg, [run_seed(cfg.seed, i) for i in range(4)])
         assert block.status == [COMPLETED] * 4
         assert len(alive) == 3
+
+    @staticmethod
+    def spy_batches(monkeypatch, events):
+        buffer = engine._batch_buffer
+
+        def spy(*args):
+            events.append("batch")
+            return buffer(*args)
+
+        monkeypatch.setattr(engine, "_batch_buffer", spy)
+
+    def test_lone_selection_allocates_its_batch_before_its_first_chunk(self, monkeypatch):
+        # The batch outlives the chunk buffers, so it comes first (see
+        # _Draws); a lone selection keeps the block's order.
+        events = []
+        self.spy_batches(monkeypatch, events)
+        m, rng = GaussianModel(np.array([1.0, 1.0]), 1.0), np.random.default_rng(4)
+
+        def sample(k):
+            events.append("sample")
+            return gaussian.sample(m, rng, k)
+
+        engine._select(sample, lambda x: gaussian.reward(ExpReward(0.5), x), 300, 10**5, 2, rng)
+        assert events[:2] == ["batch", "sample"] and events.count("sample") > 1
+
+    def test_block_allocates_each_batch_before_its_first_chunk(self, monkeypatch):
+        events = []
+        self.spy_batches(monkeypatch, events)
+        sample_into = GaussianNll.sample_into
+
+        def spy(*args):
+            events.append("sample")
+            return sample_into(*args)
+
+        monkeypatch.setattr(GaussianNll, "sample_into", spy)
+        cfg = low_accept_config(Schedule((40, 80, 160)), seed=2106)
+        block = engine._run_block(cfg, [run_seed(cfg.seed, i) for i in range(4)])
+        assert block.status == [COMPLETED] * 4
+        # Each iteration: its batch, then all of its selection's chunks.
+        runs = [e for i, e in enumerate(events) if i == 0 or events[i - 1] != e]
+        assert runs == ["batch", "sample"] * 3 and events.count("sample") > 3
 
     def test_accepted_samples_follow_post_selection_law(self):
         rng = np.random.default_rng(3)
@@ -653,24 +695,32 @@ class TestMonteCarloJobs:
         for agg, (cfg, runs) in zip(got, jobs):
             assert_same_aggregate(agg, monte_carlo(cfg, runs))
 
-    def test_failed_job_cancels_queued_blocks(self):
+    @pytest.mark.parametrize("first_fails", [True, False], ids=["failed_job", "early_close"])
+    def test_failed_job_cancels_queued_blocks(self, monkeypatch, first_fails):
         submitted = []
 
         class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=1)
+
             def submit(self, *args):
                 submitted.append(super().submit(*args))
                 return submitted[-1]
 
-        failing = toy_config(Schedule((5, 5)), seed=3, divergence_cap=1e-9)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        first = toy_config(Schedule((5, 5)), seed=3, divergence_cap=1e-9 if first_fails else 1e6)
         later = toy_config(Schedule((10, 20, 40)), seed=4)
-        # Blocks of at most 602 // (2 * 2) = 150 runs: one for the failing
+        # Blocks of at most 602 // (2 * 2) = 150 runs: one for the first
         # job, then two for each later job.
-        with RecordingPool(max_workers=1) as pool:
-            jobs = engine.monte_carlo_jobs([(failing, 2)] + [(later, 200)] * 3, 2, pool)
+        jobs = engine.monte_carlo_jobs([(first, 2)] + [(later, 200)] * 3, 2)
+        if first_fails:
             with pytest.raises(RuntimeError, match="all Monte Carlo runs failed"):
                 next(jobs)
-            assert len(submitted) == 7
-            assert sum(f.cancelled() for f in submitted) >= 4
+        else:
+            assert next(jobs).runs_completed == 2
+            jobs.close()
+        assert len(submitted) == 7
+        assert sum(f.cancelled() for f in submitted) >= 4
         assert all(f.done() for f in submitted)
 
 

@@ -6,7 +6,6 @@ clipped-reward counts. Monte Carlo aggregates must match serially and
 in a pool, whatever the block size and the rows per group.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -102,12 +101,6 @@ def reference():
     }
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
-
-
 def assert_same_run(got: engine.RunTrace, want: ref.RunTrace) -> None:
     assert got.status == want.status
     assert got.clipped_rewards == want.clipped_rewards
@@ -165,15 +158,15 @@ def test_run_equals_reference_run(reference, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_monte_carlo_equals_reference(pool, monkeypatch, name):
+def test_monte_carlo_equals_reference(monkeypatch, name):
     cfg = CASES[name]
     want = ref.monte_carlo(cfg, RUNS)
     assert_same_aggregate(monte_carlo(cfg, RUNS), want)
-    assert_same_aggregate(monte_carlo(cfg, RUNS, workers=2, executor=pool), want)
+    assert_same_aggregate(monte_carlo(cfg, RUNS, workers=2), want)
     # One-run pooled blocks, each drawing in groups of one run.
     monkeypatch.setattr(engine, "_BATCH_BYTES", 1)
     monkeypatch.setattr(engine, "_GROUP_ROWS", 1)
-    assert_same_aggregate(monte_carlo(cfg, RUNS, workers=2, executor=pool), want)
+    assert_same_aggregate(monte_carlo(cfg, RUNS, workers=2), want)
 
 
 def test_select_is_the_one_run_case():
@@ -181,13 +174,13 @@ def test_select_is_the_one_run_case():
     theta = np.array([0.4, -0.2])
     a, b = np.random.default_rng(3), np.random.default_rng(3)
     for n_t in (1, 40, 500):
-        D, N_t, clipped = engine._select(lambda k: model.sample(theta, a, k), model.reward, n_t, 100 * n_t, a)
+        D, N_t, clipped = engine._select(lambda k: model.sample(theta, a, k), model.reward, n_t, 100 * n_t, theta.size, a)
         D0, N0, clipped0 = ref._select(lambda k: model.sample(theta, b, k), model.reward, n_t, 100 * n_t, b)
         assert (N_t, clipped) == (N0, clipped0)
         assert D.tobytes() == D0.tobytes()
     far = theta + 9.0
     with pytest.raises(engine.DrawCapExceeded) as got:
-        engine._select(lambda k: model.sample(far, a, k), model.reward, 10, 500, a)
+        engine._select(lambda k: model.sample(far, a, k), model.reward, 10, 500, theta.size, a)
     with pytest.raises(engine.DrawCapExceeded) as want:
         ref._select(lambda k: model.sample(far, b, k), model.reward, 10, 500, b)
     assert (got.value.drawn, got.value.accepted) == (want.value.drawn, want.value.accepted)
