@@ -47,12 +47,10 @@ _HERMITE_NODES = 64
 
 @dataclass(frozen=True)
 class MarginalLaw:
-    """Exact law of theta^(T) under MLE updates: N(mu, sigma2_T * I_d)."""
+    """Exact law of theta^(T) under MLE updates: N(mu, sigma2_T * I_d), d = mu.size."""
 
     mu: np.ndarray
     sigma2_T: float
-    T: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def marginal(
         raise ValueError("marginal needs a non-empty schedule")
     theta0 = check_theta("theta0", theta0)
     *_, (mu, var) = _StepLaw(sigma2, kappa2).trajectory(theta0, ns)
-    return MarginalLaw(mu=mu, sigma2_T=var, T=len(ns), d=theta0.size)
+    return MarginalLaw(mu=mu, sigma2_T=var)
 
 
 def expected_final_reward(law: MarginalLaw, sigma2: float, kappa2: float) -> float:
@@ -164,7 +162,7 @@ def expected_final_reward(law: MarginalLaw, sigma2: float, kappa2: float) -> flo
     (kappa2 / (sigma2+kappa2+sigma2_T))^(d/2)
         * exp(-||mu||^2 / (2*(sigma2+kappa2+sigma2_T))).
     """
-    return _reward(law.mu, law.sigma2_T, law.d, sigma2, kappa2)
+    return _reward(law.mu, law.sigma2_T, law.mu.size, sigma2, kappa2)
 
 
 def continuous_optimum(C: int, T: int, sigma2: float, kappa2: float) -> np.ndarray:
@@ -267,9 +265,9 @@ def variance_floor(n0: int, sigma2: float, kappa2: float) -> float:
 def _gauss_hermite_inv_reward(mu: np.ndarray, var: float, law: _StepLaw, kappa2: float) -> float:
     """E[1/r(theta)] for theta ~ N(mu, var*I_d) by per-coordinate
     Gauss-Hermite quadrature. 1/r factorizes across coordinates, so a
-    one-dimensional rule per coordinate suffices. Requires
-    var < sigma2+kappa2 (checked by the caller), else the expectation
-    diverges."""
+    one-dimensional rule per coordinate suffices. It is finite for var <
+    sigma2+kappa2: with all counts >= 1, var stays below variance_floor(1)
+    = kappa2*(1+rho)/(2+rho), under (sigma2+kappa2)/2."""
     s = law.sigma2 + kappa2
     z, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     out = law.power(mu.size / 2.0)
@@ -296,7 +294,7 @@ def cost_curve(
 
     Raises ``ValueError`` unless sigma2 and kappa2 are positive finite
     reals and ``check_theta`` takes theta0, and one naming the iteration T
-    at which E[r] underflows to 0 or E[1/r] diverges or overflows.
+    at which E[r] underflows to 0 or E[1/r] overflows.
     """
     ns = _counts(schedule)
     theta0 = check_theta("theta0", theta0)
@@ -319,10 +317,8 @@ def cost_curve(
     for t, n_t in enumerate(ns):
         if t == 0 or n_t_expectation == "ratio":
             inv_r = 1.0 / r_before if r_before > 0.0 else math.inf
-        elif sig2 < sigma2 + kappa2:
-            inv_r = _gauss_hermite_inv_reward(mus[t - 1], sig2, law, kappa2)
         else:
-            inv_r = math.inf  # E[1/r] diverges once sig2 >= sigma2 + kappa2
+            inv_r = _gauss_hermite_inv_reward(mus[t - 1], sig2, law, kappa2)
         if not math.isfinite(inv_r):
             raise ValueError(
                 f"expected draws per accepted sample are infinite at T={t + 1}: "

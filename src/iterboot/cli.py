@@ -244,7 +244,8 @@ def cmd_optimal_policy(args: argparse.Namespace) -> str:
     try:
         schedule = analytic.optimal_schedule(C, T, sigma2, kappa2, theta0)
         continuous = analytic.continuous_optimum(C, T, sigma2, kappa2)
-        sig2 = analytic.marginal(theta0 if theta0 is not None else 0.0, schedule, sigma2, kappa2).sigma2_T
+        # sigma2_T does not depend on theta0.
+        sig2 = analytic.marginal(0.0, schedule, sigma2, kappa2).sigma2_T
         brute = analytic.brute_force_optimal(C, T, sigma2, kappa2) if args.verify else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .analytic import PolicyEvaluation
-from .engine import AggregateTrace
+from .engine import MonteCarloTrace
 
 __all__ = [
     "AGG_COLUMNS",
@@ -103,7 +103,7 @@ def _curve_rows(label, source, T, n, mean_N, gap, se_gap, cum_cost, se_cum_cost,
     ]
 
 
-def aggregate_rows(label: str, agg: AggregateTrace) -> list[AggRow]:
+def aggregate_rows(label: str, agg: MonteCarloTrace) -> list[AggRow]:
     """Rows for a simulation aggregate, T ascending."""
     return _curve_rows(
         label, "sim", agg.T, agg.n, agg.mean_N, agg.mean_gap, agg.se_gap,

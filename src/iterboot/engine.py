@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import gaussian
-from .gdmodel import DivergenceError, GdUpdater, LossModel, gd_update
-from .policy import CostModel, Schedule, check_positive_int
+from .gdmodel import DivergenceError, LossModel, gd_update
+from .policy import CostModel, Schedule, check_positive, check_positive_int
 
 __all__ = [
     "COMPLETED",
@@ -39,7 +39,6 @@ __all__ = [
     "RunConfig",
     "IterationRecord",
     "RunTrace",
-    "AggregateTrace",
     "MonteCarloTrace",
     "DrawCapExceeded",
     "select_batch",
@@ -192,8 +191,12 @@ class RunTrace:
 
 
 @dataclass(frozen=True)
-class AggregateTrace:
-    """Per-iteration mean/standard-error curves over completed runs."""
+class MonteCarloTrace:
+    """What :func:`monte_carlo` returns: per-iteration mean/standard-error
+    curves over completed runs, the run counts by status, the r* the gaps
+    are taken to, the rewards clipped to [0, 1] over all runs (diverged
+    and draw-capped ones included), and the full traces of the first runs
+    asked for."""
 
     T: np.ndarray
     n: tuple[int, ...]
@@ -209,28 +212,21 @@ class AggregateTrace:
     runs_diverged: int
     runs_draw_capped: int
     r_star: float
-
-
-@dataclass(frozen=True)
-class MonteCarloTrace(AggregateTrace):
-    """What :func:`monte_carlo` returns: the aggregate, plus the rewards
-    clipped to [0, 1] over all runs (diverged and draw-capped ones
-    included) and the full traces of the first runs asked for."""
-
     clipped_rewards: int
     traces: tuple[RunTrace, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs. With ``loss_model`` unset the generator
-    is the Gaussian/exponential-reward pair
-    (:class:`~iterboot.gaussian.GaussianNll`) built from ``sigma2``,
-    ``kappa2`` and ``theta0``; a custom :class:`LossModel` supplies its
-    own sampling/reward. Every run is updated by gradient descent with
-    step ``eta``; ``eta = None`` means eta = sigma2, which for the
-    Gaussian pair is exactly the MLE mean update. A custom loss model
-    needs ``eta`` or ``sigma2``. ``seed`` is an int in [0, 2**64).
+    """Everything one run needs. Its model comes one of two ways, each
+    rejecting the other's parameters: the Gaussian/exponential-reward
+    pair (:class:`~iterboot.gaussian.GaussianNll`) from ``sigma2`` and
+    ``kappa2``, whose r* is :func:`~iterboot.gaussian.optimal_reward` and
+    whose ``eta = None`` means eta = sigma2, the MLE mean update; or a
+    custom :class:`LossModel` as ``loss_model``, with ``eta`` and, for
+    Monte Carlo gaps, ``r_star``. Every run is updated by gradient descent
+    with step ``eta``, a positive finite real. ``seed`` is an int in
+    [0, 2**64). Frozen, so what construction checked holds for every run.
 
     ``max_draws_per_iter`` bounds generation per iteration (default
     1000 * n_t); ``divergence_cap`` bounds ||theta|| before a run is
@@ -253,35 +249,41 @@ class RunConfig:
     eval_samples: int = 10_000
 
     def __post_init__(self) -> None:
-        self.theta0 = gaussian.check_theta("theta0", self.theta0)
+        object.__setattr__(self, "theta0", gaussian.check_theta("theta0", self.theta0))
         check_seed("seed", self.seed)
         if self.loss_model is None:
             if self.sigma2 is None or self.kappa2 is None:
                 raise ValueError("sigma2 and kappa2 are required without a loss_model")
-        elif self.eta is None and self.sigma2 is None:
-            raise ValueError("eta or sigma2 is required for a custom loss model")
+            if self.r_star is not None:
+                raise ValueError("r_star goes only with a loss_model; the pair's is optimal_reward")
+        elif self.sigma2 is not None or self.kappa2 is not None:
+            raise ValueError("sigma2 and kappa2 set the Gaussian pair; a loss_model takes neither")
+        elif self.eta is None:
+            raise ValueError("eta is required with a loss_model")
+        elif self.r_star is not None and not math.isfinite(self.r_star):
+            raise ValueError(f"r_star must be finite, got {self.r_star!r}")
+        if self.eta is not None:
+            check_positive("eta", self.eta)
         if self.max_draws_per_iter is not None:
-            self.max_draws_per_iter = check_positive_int(
-                "max_draws_per_iter", self.max_draws_per_iter
-            )
+            cap = check_positive_int("max_draws_per_iter", self.max_draws_per_iter)
+            object.__setattr__(self, "max_draws_per_iter", cap)
             biggest = max(self.schedule.n)
             if self.max_draws_per_iter < biggest:
                 raise ValueError(
                     f"max_draws_per_iter={self.max_draws_per_iter} is below the "
                     f"largest schedule entry {biggest}"
                 )
-        self.eval_samples = check_positive_int("eval_samples", self.eval_samples)
+        samples = check_positive_int("eval_samples", self.eval_samples)
+        object.__setattr__(self, "eval_samples", samples)
         if not self.divergence_cap > 0:  # nan included; inf means no cap
             raise ValueError(f"divergence_cap must be positive, got {self.divergence_cap!r}")
-        if self.r_star is not None and not math.isfinite(self.r_star):
-            raise ValueError(f"r_star must be finite, got {self.r_star!r}")
 
     def resolve_r_star(self) -> float:
-        if self.r_star is not None:
-            return self.r_star
-        if self.sigma2 is None or self.kappa2 is None:
+        if self.loss_model is None:
+            return gaussian.optimal_reward(self.theta0.size, self.sigma2, self.kappa2)
+        if self.r_star is None:
             raise ValueError("r_star must be supplied for a custom loss model")
-        return gaussian.optimal_reward(self.theta0.size, self.sigma2, self.kappa2)
+        return self.r_star
 
 
 # Selection draws in adaptive chunks: the first is 1.25 * n_t rows (at
@@ -517,7 +519,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
     if lm is None:
         lm = gaussian.GaussianNll(cfg.sigma2, cfg.kappa2, cfg.theta0.size)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
-    updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
+    eta = cfg.eta if cfg.eta is not None else cfg.sigma2
     closed = getattr(lm, "expected_reward", None)
     into = getattr(lm, "sample_into", None)
     B, T, d = len(seeds), len(cfg.schedule.n), cfg.theta0.size
@@ -559,7 +561,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
         # A run's update cannot change another run's draws, so the block
         # updates once its whole selection has ended. Then the batch goes,
         # so the next selection's batch never sits beside it.
-        theta, finite = _step(lm, updater, theta, sel.batch, filled)
+        theta, finite = _step(lm, eta, theta, sel.batch, filled)
         sel.batch = None
         # vecdot gives each row theta @ theta bit for bit, so its root is
         # np.linalg.norm(theta).
@@ -603,7 +605,7 @@ def _batch_buffer(n_t: int, runs: int, d: int) -> np.ndarray:
 
 def _step(
     lm: LossModel,
-    updater: GdUpdater,
+    eta: float,
     thetas: np.ndarray,
     batch: np.ndarray,
     filled: np.ndarray,
@@ -613,13 +615,13 @@ def _step(
     ``filled[i]``. A model's ``gd_step`` updates the whole stack at once."""
     step = getattr(lm, "gd_step", None)
     if step is not None:
-        new = np.asarray(step(thetas, batch, updater.eta), dtype=np.float64)
+        new = np.asarray(step(thetas, batch, eta), dtype=np.float64)
         return new, np.isfinite(new).all(axis=1)
     new = thetas.copy()
     finite = filled.copy()
     for i in np.flatnonzero(filled).tolist():
         try:
-            new[i] = gd_update(thetas[i], batch[:, i], lm, updater)
+            new[i] = gd_update(thetas[i], batch[:, i], lm, eta)
         except DivergenceError:
             finite[i] = False
     return new, finite

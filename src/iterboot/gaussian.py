@@ -132,11 +132,17 @@ def mle_update(D: np.ndarray) -> np.ndarray:
     return D.mean(axis=0)
 
 
-def post_selection_params(m: GaussianModel, r: ExpReward) -> tuple[np.ndarray, float]:
+def post_selection_params(
+    theta: np.ndarray | float, sigma2: float, kappa2: float
+) -> tuple[np.ndarray, float]:
     """Exact law of an accepted sample: reweighting N(theta, sigma2 I_d)
-    by R gives N(theta/(1+rho), sigma2/(1+rho) * I_d) with rho = sigma2/kappa2."""
-    rho = m.sigma2 / r.kappa2
-    return m.theta / (1.0 + rho), m.sigma2 / (1.0 + rho)
+    by exp(-||x||^2 / (2*kappa2)) gives N(theta/(1+rho), sigma2/(1+rho) * I_d)
+    with rho = sigma2/kappa2. Raises ``ValueError`` as check_theta and check_positive do."""
+    theta = check_theta("theta", theta)
+    check_positive("sigma2", sigma2)
+    check_positive("kappa2", kappa2)
+    rho = sigma2 / kappa2
+    return theta / (1.0 + rho), sigma2 / (1.0 + rho)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Loss-based model interface and the gradient-descent updater.
+"""Loss-based model interface and the gradient-descent step.
 
 A :class:`LossModel` bundles the four behaviors the bootstrapping loop
 needs from a trainable generator: per-sample loss, its gradient in the
@@ -9,7 +9,6 @@ one averaged gradient step. The Gaussian instance,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -18,7 +17,6 @@ from .policy import check_positive
 
 __all__ = [
     "LossModel",
-    "GdUpdater",
     "DivergenceError",
     "gd_update",
     "check_gradient",
@@ -63,25 +61,15 @@ class LossModel(Protocol):
     def reward(self, x: np.ndarray) -> float | np.ndarray: ...
 
 
-@dataclass(frozen=True)
-class GdUpdater:
-    """Plain gradient descent with a fixed learning rate."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        check_positive("eta", self.eta)
-
-
-def gd_update(
-    theta: np.ndarray, D: np.ndarray, model: LossModel, upd: GdUpdater
-) -> np.ndarray:
+def gd_update(theta: np.ndarray, D: np.ndarray, model: LossModel, eta: float) -> np.ndarray:
     """One averaged gradient step: theta - (eta/|D|) * sum_x grad(x, theta).
 
     Uses the model's own ``gd_step`` when it provides one. Raises
-    ``ValueError`` on an empty batch and :class:`DivergenceError` when
-    the step produces non-finite coordinates.
+    ``ValueError`` unless eta is a positive finite real, and on an empty
+    batch, and :class:`DivergenceError` when the step produces
+    non-finite coordinates.
     """
+    check_positive("eta", eta)
     theta = np.asarray(theta, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
     if D.ndim == 1:
@@ -90,10 +78,10 @@ def gd_update(
         raise ValueError("gd_update needs a non-empty batch")
     step = getattr(model, "gd_step", None)
     if step is not None:
-        new = np.asarray(step(theta, D, upd.eta), dtype=np.float64)
+        new = np.asarray(step(theta, D, eta), dtype=np.float64)
     else:
         grads = np.stack([np.asarray(model.grad(x, theta), dtype=np.float64) for x in D])
-        new = theta - upd.eta * grads.mean(axis=0)
+        new = theta - eta * grads.mean(axis=0)
     if not np.all(np.isfinite(new)):
         raise DivergenceError(f"gradient step produced non-finite theta: {new}")
     return new

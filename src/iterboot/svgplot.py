@@ -96,18 +96,17 @@ def render_gap_vs_cost(
         x_hi = x_lo + 1.0
     all_y = clamp_y(ys)
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
-    if y_hi <= y_lo:
+    # Equal y_lo and y_hi share a log10, and so can two one ulp apart (at 1e-12).
+    ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
+    if ly_hi <= ly_lo:
         y_hi = y_lo * 10.0
+        ly_hi = math.log10(y_hi)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(v: float) -> float:
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
-    if ly_hi <= ly_lo:
-        ly_hi = ly_lo + 1.0
 
     def py(v: float) -> float:
         return _MARGIN_T + (ly_hi - math.log10(v)) / (ly_hi - ly_lo) * plot_h

@@ -15,15 +15,15 @@ from iterboot.engine import (
     COMPLETED,
     DIVERGED,
     DRAW_CAP_HIT,
-    AggregateTrace,
     DrawCapExceeded,
     IterationRecord,
+    MonteCarloTrace,
     RunConfig,
     RunTrace,
     run_seed,
 )
 from iterboot.gaussian import GaussianNll
-from iterboot.gdmodel import DivergenceError, GdUpdater, LossModel, gd_update
+from iterboot.gdmodel import DivergenceError, LossModel, gd_update
 
 
 def _select(
@@ -84,7 +84,7 @@ def run(cfg: RunConfig) -> RunTrace:
     if lm is None:
         lm = GaussianNll(cfg.sigma2, cfg.kappa2, cfg.theta0.size)
     # MLE is the Gaussian NLL gradient step with eta = sigma2.
-    updater = GdUpdater(cfg.eta if cfg.eta is not None else cfg.sigma2)
+    eta = cfg.eta if cfg.eta is not None else cfg.sigma2
     closed = getattr(lm, "expected_reward", None)
     sample_fn = lambda k: lm.sample(theta, rng, k)  # noqa: E731  (reads the current theta)
 
@@ -101,7 +101,7 @@ def run(cfg: RunConfig) -> RunTrace:
             break
         clipped_total += clipped
         try:
-            theta = gd_update(theta, D, lm, updater)
+            theta = gd_update(theta, D, lm, eta)
         except DivergenceError:
             status = DIVERGED
             break
@@ -138,15 +138,15 @@ def _mc_expected_reward(lm: LossModel, theta: np.ndarray, cfg: RunConfig, t: int
 
 def _run_arrays(
     cfg: RunConfig, seed: int
-) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, int]:
     trace = run(replace(cfg, seed=seed))
     reward = np.array([rec.expected_reward_after for rec in trace.records])
     cost = np.array([rec.cum_cost for rec in trace.records])
     draws = np.array([float(rec.N_t) for rec in trace.records])
-    return trace.status, reward, cost, draws
+    return trace.status, reward, cost, draws, trace.clipped_rewards
 
 
-def monte_carlo(cfg: RunConfig, runs: int) -> AggregateTrace:
+def monte_carlo(cfg: RunConfig, runs: int) -> MonteCarloTrace:
     """The serial Monte Carlo reduction over :func:`run`."""
     if runs < 2:
         raise ValueError(f"monte_carlo needs runs >= 2, got {runs}")
@@ -173,7 +173,7 @@ def monte_carlo(cfg: RunConfig, runs: int) -> AggregateTrace:
     def _se(a: np.ndarray) -> np.ndarray:
         return a.std(axis=0, ddof=1) / math.sqrt(m)
 
-    return AggregateTrace(
+    return MonteCarloTrace(
         T=np.arange(1, T + 1),
         n=cfg.schedule.n,
         mean_gap=gap.mean(axis=0),
@@ -188,4 +188,6 @@ def monte_carlo(cfg: RunConfig, runs: int) -> AggregateTrace:
         runs_diverged=diverged,
         runs_draw_capped=capped,
         r_star=r_star,
+        clipped_rewards=sum(r[4] for r in results),
+        traces=(),
     )

@@ -138,7 +138,7 @@ def test_criterion_3_policy_ordering(toy):
 
     n_const = schedules["constant"].n[0]
     floor_gap = optimal_reward(2, SIGMA2, KAPPA2) - expected_final_reward(
-        MarginalLaw(mu=np.zeros(2), sigma2_T=variance_floor(n_const, SIGMA2, KAPPA2), T=0, d=2),
+        MarginalLaw(mu=np.zeros(2), sigma2_T=variance_floor(n_const, SIGMA2, KAPPA2)),
         SIGMA2,
         KAPPA2,
     )
@@ -201,7 +201,7 @@ def test_criterion_5_constant_policy_floor():
     sched = Schedule((n0,) * T)
     ev = cost_curve(sched, theta0, SIGMA2, KAPPA2, TRAIN_ONLY)
     limit_gap = optimal_reward(1, SIGMA2, KAPPA2) - expected_final_reward(
-        MarginalLaw(mu=np.zeros(1), sigma2_T=variance_floor(n0, SIGMA2, KAPPA2), T=T, d=1),
+        MarginalLaw(mu=np.zeros(1), sigma2_T=variance_floor(n0, SIGMA2, KAPPA2)),
         SIGMA2,
         KAPPA2,
     )

@@ -1,6 +1,7 @@
 """Closed-form law, optimal schedules, brute-force oracle, cost curves."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -94,8 +95,13 @@ class TestMarginal:
 
 
 class TestExpectedFinalReward:
+    def test_law_holds_no_copy_of_d_or_T(self):
+        # A d beside mu could disagree with mu.size: d = 2 with a
+        # one-coordinate mu read a reward of 0.645 without an error.
+        assert [f.name for f in fields(MarginalLaw)] == ["mu", "sigma2_T"]
+
     def test_noiseless_optimum(self):
-        law = MarginalLaw(mu=np.zeros(2), sigma2_T=0.0, T=0, d=2)
+        law = MarginalLaw(mu=np.zeros(2), sigma2_T=0.0)
         assert math.isclose(expected_final_reward(law, 1.0, 2.0), 2.0 / 3.0)
 
     def test_one_dim_value(self):
@@ -104,7 +110,7 @@ class TestExpectedFinalReward:
         assert math.isclose(value, 0.7511230626998716, rel_tol=1e-12)
 
     def test_far_mean_vanishes(self):
-        law = MarginalLaw(mu=np.array([300.0]), sigma2_T=0.1, T=1, d=1)
+        law = MarginalLaw(mu=np.array([300.0]), sigma2_T=0.1)
         assert expected_final_reward(law, 1.0, 2.0) < 1e-10
 
     def test_monte_carlo_over_the_law(self):
@@ -392,7 +398,7 @@ class TestConstantPolicyFloor:
         theta0 = np.array([1.0])
         ev = cost_curve(materialize(Constant(10), 60), theta0, 1.0, 2.0, TRAIN_ONLY)
         floor_gap = ev.r_star - expected_final_reward(
-            MarginalLaw(mu=np.zeros(1), sigma2_T=variance_floor(10, 1.0, 2.0), T=60, d=1),
+            MarginalLaw(mu=np.zeros(1), sigma2_T=variance_floor(10, 1.0, 2.0)),
             1.0,
             2.0,
         )
@@ -431,7 +437,7 @@ class TestTStar:
     def test_below_floor_never_reached(self):
         ev = cost_curve(materialize(Constant(10), 80), np.array([1.0]), 1.0, 2.0, TRAIN_ONLY)
         floor_gap = ev.r_star - expected_final_reward(
-            MarginalLaw(mu=np.zeros(1), sigma2_T=variance_floor(10, 1.0, 2.0), T=80, d=1),
+            MarginalLaw(mu=np.zeros(1), sigma2_T=variance_floor(10, 1.0, 2.0)),
             1.0,
             2.0,
         )

@@ -696,3 +696,9 @@ class TestSweep:
         args = ["--axis", "run.T", "--values", "2.7"]
         assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
         assert "integer" in capsys.readouterr().err
+
+    def test_non_numeric_value_is_validation_error(self, small_cfg, tmp_path, capsys):
+        args = ["--axis", "policy.exp.u", "--values", "1,x"]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
+        assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n"
+        assert not (tmp_path / "out").exists()

@@ -248,6 +248,76 @@ class TestValidation:
         assert cfg.eta == 0.5
 
 
+def _without_policies(text):
+    return text[: text.index("[policy exp]")] + text[text.index("[run]") :]
+
+
+# (edit of TOY, the line the error names or None, its message)
+PARSE_ERRORS = {
+    "empty_section_header": (lambda t: t.replace("[cost]", "[ ]"), "[ ]", "empty section header"),
+    "no_equals_sign": (
+        lambda t: t.replace("c_g = 0.0", "c_g 0.0"), "c_g 0.0", "expected 'key = value', got 'c_g 0.0'"
+    ),
+    "missing_key": (lambda t: t.replace("c_g = 0.0", "= 0.0"), "= 0.0", "missing key before '='"),
+    "bool": (
+        lambda t: t.replace("emit_svg = true", "emit_svg = maybe"),
+        "emit_svg = maybe",
+        "emit_svg must be true/false, got 'maybe'",
+    ),
+    "vector_entry": (
+        lambda t: t.replace("theta0 = 1.0, 1.0", "theta0 = 1.0, x"),
+        "theta0 = 1.0, x",
+        "theta0 must be comma-separated numbers",
+    ),
+    "empty_vector": (
+        lambda t: t.replace("theta0 = 1.0, 1.0", "theta0 = ,"), "theta0 = ,", "theta0 must not be empty"
+    ),
+    "integer_list": (
+        lambda t: t.replace("family = exponential\nn0 = 10\nu = 0.5", "family = explicit\nschedule = 1, x"),
+        "schedule = 1, x",
+        "schedule must be comma-separated integers",
+    ),
+    "top_level_key": (
+        lambda t: t.replace("spec_version = 1", "spec_version = 1\nseed = 3"),
+        "seed = 3",
+        "unexpected top-level key 'seed'",
+    ),
+    "policy_without_label": (
+        lambda t: t.replace("[policy const]", "[policy]"),
+        "[policy]",
+        "policy section needs a label: [policy LABEL]",
+    ),
+    "no_policies": (_without_policies, None, "config defines no [policy LABEL] sections"),
+    "missing_required_key": (
+        lambda t: t.replace("runs = 1000\n", ""), None, "section [run] is missing required key 'runs'"
+    ),
+    "update": (
+        lambda t: t.replace("T = 15", "T = 15\nupdate = sgd"), "update = sgd", "update must be 'mle' or 'gd'"
+    ),
+    "policy_without_family": (
+        lambda t: t.replace("family = budget_constant\n", ""),
+        "[policy const]",
+        "policy 'const' is missing the 'family' key",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_names_its_line(case):
+    edit, where, message = PARSE_ERRORS[case]
+    text = edit(TOY)
+    assert text != TOY
+    if where is not None:
+        message = f"line {text.splitlines().index(where) + 1}: {message}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
+def test_emit_svg_no_is_false():
+    assert parse_config(TOY.replace("emit_svg = true", "emit_svg = no")).emit_svg is False
+
+
 class TestLoad(object):
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "toy.cfg"

@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -313,7 +313,7 @@ class TestSelectBatch:
         rw = ExpReward(2.0)
         pools = [select_batch(m, rw, 5000, 10**6, rng)[0] for _ in range(4)]
         pool = np.concatenate(pools)[:, 0]
-        mean, var = post_selection_params(m, rw)
+        mean, var = post_selection_params(m.theta, m.sigma2, rw.kappa2)
         se = math.sqrt(var / pool.size)
         assert abs(pool.mean() - mean[0]) < 4 * se
 
@@ -399,7 +399,15 @@ class TestRun:
     def test_r_star_must_be_finite(self, r_star):
         # A nan r_star would make every mean gap nan without an error.
         with pytest.raises(ValueError, match="r_star must be finite"):
-            toy_config(Schedule((10,)), r_star=r_star)
+            RunConfig(
+                theta0=np.array([0.0]),
+                schedule=Schedule((10,)),
+                cost=CostModel(0.0, 1.0),
+                seed=42,
+                eta=1.0,
+                loss_model=ExplodingModel(),
+                r_star=r_star,
+            )
 
     def test_gd_equals_mle_trajectory_bitwise(self):
         sched = materialize(Exponential(10, 0.5), 10)
@@ -493,7 +501,7 @@ class TestDivergenceHandling:
         assert len(trace.records) == 3
 
     def test_custom_model_requires_eta_or_sigma2(self):
-        with pytest.raises(ValueError, match="eta or sigma2"):
+        with pytest.raises(ValueError, match="^eta is required with a loss_model$"):
             RunConfig(
                 theta0=np.array([0.0]),
                 schedule=Schedule((5,)),
@@ -514,6 +522,13 @@ class TestMonteCarlo:
     def test_rejects_single_run(self):
         with pytest.raises(ValueError):
             monte_carlo(toy_config(Schedule((5,))), 1)
+
+    def test_one_completed_run_has_no_standard_error(self):
+        cfg = toy_config(Schedule((5,)))
+        block = engine._run_block(cfg, [run_seed(cfg.seed, i) for i in range(2)])
+        block.status[1] = DIVERGED
+        with pytest.raises(RuntimeError, match=r"^only 1 completed run\(s\); need >= 2 for standard errors$"):
+            engine._reduce(cfg, [block], 0)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers must be an integer >= 1"):
@@ -622,12 +637,7 @@ class TestMonteCarlo:
         constant = materialize(BudgetConstant(10, 0.5), 15)
         agg_c = monte_carlo(toy_config(constant, seed=5), 200)
         floor_gap = optimal_reward(2, 1.0, 2.0) - expected_final_reward(
-            MarginalLaw(
-                mu=np.zeros(2),
-                sigma2_T=variance_floor(constant.n[0], 1.0, 2.0),
-                T=15,
-                d=2,
-            ),
+            MarginalLaw(mu=np.zeros(2), sigma2_T=variance_floor(constant.n[0], 1.0, 2.0)),
             1.0,
             2.0,
         )
@@ -772,6 +782,50 @@ class TestMissingOptimum:
             for agg in engine.monte_carlo_jobs([(toy_config(Schedule((5,))), 2), (self.missing(), 2)]):
                 got.append(agg)
         assert got == []
+
+
+class TestOneWayPerModel:
+    """The Gaussian pair comes from sigma2 and kappa2, a custom model from
+    loss_model and eta; each way rejects the other's parameters, so r*,
+    the variances and eta have one source."""
+
+    @pytest.mark.parametrize("key", ["sigma2", "kappa2"])
+    def test_loss_model_rejects_the_pairs_variances(self, key):
+        # With them, every gap was taken to the Gaussian r*, not the model's.
+        with pytest.raises(ValueError, match="^sigma2 and kappa2 set the Gaussian pair; a loss_model takes neither$"):
+            replace(TestMissingOptimum.missing(), r_star=1.0, **{key: 2.0})
+
+    def test_pair_rejects_r_star(self):
+        with pytest.raises(ValueError, match="^r_star goes only with a loss_model"):
+            toy_config(Schedule((5,)), r_star=0.5)
+
+    def test_pairs_r_star_is_optimal_reward(self):
+        agg = monte_carlo(toy_config(Schedule((5,))), 2)
+        assert agg.r_star == gaussian.optimal_reward(2, 1.0, 2.0)
+
+    def test_checked_values_cannot_be_reassigned(self):
+        # cfg.eta = 0.0 used to pass, and the Gaussian pair's runs then kept theta0.
+        cfg = toy_config(Schedule((5,)))
+        with pytest.raises(FrozenInstanceError):
+            cfg.eta = 0.0
+
+    def test_bad_eta_job_yields_nothing_and_runs_no_block(self, monkeypatch):
+        # A bad eta used to fail inside the second job's first block, after
+        # the first job's aggregate had been yielded.
+        calls = []
+        block = engine._run_block
+
+        def counting(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(engine, "_run_block", counting)
+        got = []
+        with pytest.raises(ValueError, match="^eta must be a positive finite real"):
+            jobs = [(toy_config(Schedule((5,))), 4), (toy_config(Schedule((5,)), eta=0.0), 4)]
+            for agg in engine.monte_carlo_jobs(jobs):
+                got.append(agg)
+        assert got == [] and calls == []
 
 
 class TestBlockBatchLayout:

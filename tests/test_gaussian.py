@@ -186,27 +186,24 @@ class TestMleUpdate:
             keep = rng.random(4096) < reward(rw, x)
             accepted.append(x[keep])
         pool = np.concatenate(accepted)[: 10**4]
-        mean, var = post_selection_params(m, rw)
+        mean, var = post_selection_params(m.theta, m.sigma2, rw.kappa2)
         se = math.sqrt(var / pool.shape[0])
         assert abs(mle_update(pool)[0] - mean[0]) < 4 * se
 
 
 class TestPostSelection:
     def test_values(self):
-        m = GaussianModel(np.array([1.0]), 1.0)
-        mean, var = post_selection_params(m, ExpReward(2.0))
+        mean, var = post_selection_params(np.array([1.0]), 1.0, 2.0)
         assert np.allclose(mean, [2.0 / 3.0])
         assert math.isclose(var, 2.0 / 3.0)
 
     def test_zero_theta_is_fixed(self):
-        m = GaussianModel(np.zeros(2), 1.0)
-        mean, var = post_selection_params(m, ExpReward(1.0))
+        mean, var = post_selection_params(np.zeros(2), 1.0, 1.0)
         assert np.array_equal(mean, np.zeros(2))
         assert math.isclose(var, 0.5)
 
     def test_rho_one(self):
-        m = GaussianModel(np.array([3.0]), 1.0)
-        mean, var = post_selection_params(m, ExpReward(1.0))
+        mean, var = post_selection_params(np.array([3.0]), 1.0, 1.0)
         assert np.allclose(mean, [1.5])
         assert math.isclose(var, 0.5)
 
@@ -226,7 +223,7 @@ class TestPostSelection:
         rw = ExpReward(2.0)
         x = sample(m, rng, 4 * 10**5)
         pool = x[rng.random(x.shape[0]) < reward(rw, x)][:, 0]
-        mean, var = post_selection_params(m, rw)
+        mean, var = post_selection_params(m.theta, m.sigma2, rw.kappa2)
         n = pool.size
         assert abs(pool.mean() - mean[0]) < 4 * math.sqrt(var / n)
         # SE of the sample variance via the empirical fourth moment

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from iterboot.gaussian import GaussianNll, mle_update, optimal_reward
 from iterboot.gdmodel import (
     DivergenceError,
-    GdUpdater,
     check_gradient,
     gd_update,
 )
@@ -35,12 +34,12 @@ class QuarticLoss:
 class TestGdUpdate:
     def test_full_step_equals_sample_mean(self):
         model = GaussianNll(1.0, 2.0, 1)
-        out = gd_update(np.array([0.0]), np.array([[2.0], [4.0]]), model, GdUpdater(1.0))
+        out = gd_update(np.array([0.0]), np.array([[2.0], [4.0]]), model, 1.0)
         assert out[0] == 3.0
 
     def test_half_step(self):
         model = GaussianNll(1.0, 2.0, 1)
-        out = gd_update(np.array([0.0]), np.array([[2.0], [4.0]]), model, GdUpdater(0.5))
+        out = gd_update(np.array([0.0]), np.array([[2.0], [4.0]]), model, 0.5)
         assert out[0] == 1.5
 
     def test_eta_equals_sigma2_is_bitwise_mle(self):
@@ -49,7 +48,7 @@ class TestGdUpdate:
         for _ in range(50):
             theta = rng.normal(size=3)
             D = rng.normal(size=(rng.integers(1, 40), 3)) + theta / 1.5
-            gd = gd_update(theta, D, model, GdUpdater(1.0))
+            gd = gd_update(theta, D, model, 1.0)
             assert np.array_equal(gd, mle_update(D))
 
     def test_eta_equals_sigma2_is_bitwise_mle_nonunit_variance(self):
@@ -57,12 +56,12 @@ class TestGdUpdate:
         model = GaussianNll(2.5, 1.0, 2)
         theta = rng.normal(size=2)
         D = rng.normal(size=(17, 2))
-        assert np.array_equal(gd_update(theta, D, model, GdUpdater(2.5)), mle_update(D))
+        assert np.array_equal(gd_update(theta, D, model, 2.5), mle_update(D))
 
     def test_empty_batch_is_an_error(self):
         model = GaussianNll(1.0, 2.0, 1)
         with pytest.raises(ValueError):
-            gd_update(np.array([0.0]), np.empty((0, 1)), model, GdUpdater(1.0))
+            gd_update(np.array([0.0]), np.empty((0, 1)), model, 1.0)
 
     def test_nonfinite_step_raises_divergence(self):
         class BadGrad:
@@ -79,11 +78,11 @@ class TestGdUpdate:
                 raise NotImplementedError
 
         with pytest.raises(DivergenceError):
-            gd_update(np.array([0.0]), np.array([[1.0]]), BadGrad(), GdUpdater(1.0))
+            gd_update(np.array([0.0]), np.array([[1.0]]), BadGrad(), 1.0)
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ValueError):
-            GdUpdater(0.0)
+            gd_update(np.array([0.0]), np.array([[1.0]]), GaussianNll(1.0, 2.0, 1), 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -95,7 +94,7 @@ class TestGdUpdate:
         model = GaussianNll(1.0, 2.0, 2)
         theta = rng.normal(size=2)
         D = rng.normal(size=(rng.integers(1, 20), 2))
-        new = gd_update(theta, D, model, GdUpdater(eta))
+        new = gd_update(theta, D, model, eta)
         bound = eta * np.mean([np.linalg.norm(model.grad(x, theta)) for x in D])
         assert np.linalg.norm(new - theta) <= bound + 1e-12
 
@@ -127,8 +126,8 @@ class TestGaussianNll:
         rng = np.random.default_rng(5)
         theta = rng.normal(size=2)
         D = rng.normal(size=(9, 2))
-        a = gd_update(theta, D, NoStep(), GdUpdater(0.3))
-        b = gd_update(theta, D, model, GdUpdater(0.3))
+        a = gd_update(theta, D, NoStep(), 0.3)
+        b = gd_update(theta, D, model, 0.3)
         assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 

@@ -18,8 +18,8 @@ from iterboot.analytic import (
     variance_floor,
 )
 from iterboot.engine import CostModel, RunConfig, monte_carlo
-from iterboot.gaussian import GaussianModel, GaussianNll, check_theta, optimal_reward
-from iterboot.gdmodel import GdUpdater, check_gradient
+from iterboot.gaussian import GaussianModel, GaussianNll, check_theta, optimal_reward, post_selection_params
+from iterboot.gdmodel import check_gradient
 from iterboot.policy import Constant, Schedule, materialize
 
 TRAIN_ONLY = CostModel(0.0, 1.0)
@@ -37,6 +37,7 @@ _THETA_ENTRY_POINTS = {
     "cost_curve": ("theta0", lambda theta: cost_curve([10], theta, 1.0, 2.0, TRAIN_ONLY)),
     "optimal_schedule": ("theta0", lambda theta: optimal_schedule(21, 3, 1.0, 2.0, theta)),
     "GaussianModel": ("theta", lambda theta: GaussianModel(theta, 1.0)),
+    "post_selection_params": ("theta", lambda theta: post_selection_params(theta, 1.0, 2.0)),
 }
 
 
@@ -44,7 +45,7 @@ class TestTheta:
     def test_scalar_becomes_a_vector(self):
         assert run_config(1.5).theta0.shape == (1,)
         law = marginal(1.5, [10], 1.0, 2.0)
-        assert law.mu.shape == (1,) and law.d == 1
+        assert law.mu.shape == (1,)
         assert cost_curve([10, 10], 1.5, 1.0, 2.0, TRAIN_ONLY).mu.shape == (2, 1)
         model = GaussianModel(1.5, 1.0)
         assert model.theta.shape == (1,) and model.d == 1
@@ -138,7 +139,7 @@ def test_a_numpy_integer_count_reads_as_the_python_int(kind):
 # Each positive real an entry point takes, besides the variances that
 # test_analytic.py and test_gaussian.py cover.
 _POSITIVE_CALLS = {
-    "eta": lambda v: GdUpdater(v),
+    "eta": lambda v: run_config(eta=v),
     "h": lambda v: check_gradient(GaussianNll(1.0, 2.0, 1), np.array([0.0]), np.array([1.0]), h=v),
 }
 

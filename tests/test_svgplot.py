@@ -38,6 +38,14 @@ class TestRender:
         svg = render_gap_vs_cost(demo_series())
         assert ">0.01<" in svg or ">0.1<" in svg
 
+    def test_gaps_one_ulp_apart_plot_as_equal_gaps(self):
+        # At 1e-12 two gaps one ulp apart have the same log10, so the y
+        # range spans no height unless it is widened as for equal gaps.
+        x = np.array([1.0, 2.0])
+        apart = [Series("a", x, np.array([1e-12, np.nextafter(1e-12, 1.0)]), None)]
+        equal = [Series("a", x, np.array([1e-12, 1e-12]), None)]
+        assert render_gap_vs_cost(apart) == render_gap_vs_cost(equal)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             render_gap_vs_cost([])
