@@ -163,8 +163,12 @@ def _simulate_into(
     one batch of Monte Carlo jobs, on one process pool when ``workers > 1``,
     and write each point's files as its aggregates arrive, while the pool
     runs the later jobs' blocks; returns each point's aggregates by policy
-    label. The same master seed drives every policy (common random
-    numbers), which only sharpens cross-policy comparisons."""
+    label. Every policy's runs are seeded from the same master seed, but
+    the schedules consume each run's stream differently, so the runs of
+    two policies decouple after the first draw chunk. They are not common
+    random numbers: on the toy config, run i's gaps at T = 15 under two
+    policies correlate at -0.03 to 0.01, and pairing them leaves the SE
+    of a gap difference within 1 % of the unpaired one."""
     jobs = [
         (_run_config(cfg, build_schedule(p, cfg.T)), cfg.runs) for cfg, _ in points for p in cfg.policies
     ]
@@ -268,10 +272,12 @@ def cmd_optimal_policy(args: argparse.Namespace) -> str:
 def cmd_sweep(args: argparse.Namespace) -> str:
     workers = _check_counts(args)
     cfg = _load(args)
-    try:
-        values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    values = []
+    for tok in filter(str.strip, args.values.split(",")):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"--values {args.values!r}: {tok.strip()!r} is not a number") from None
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     names = [f"{v:g}" for v in values]

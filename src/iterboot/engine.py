@@ -226,7 +226,8 @@ class RunConfig:
     custom :class:`LossModel` as ``loss_model``, with ``eta`` and, for
     Monte Carlo gaps, ``r_star``. Every run is updated by gradient descent
     with step ``eta``, a positive finite real. ``seed`` is an int in
-    [0, 2**64). Frozen, so what construction checked holds for every run.
+    [0, 2**64). Frozen, its theta0 copy read-only, so what construction
+    checked holds for every run.
 
     ``max_draws_per_iter`` bounds generation per iteration (default
     1000 * n_t); ``divergence_cap`` bounds ||theta|| before a run is
@@ -249,7 +250,9 @@ class RunConfig:
     eval_samples: int = 10_000
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta0", gaussian.check_theta("theta0", self.theta0))
+        theta0 = gaussian.check_theta("theta0", self.theta0)
+        theta0.flags.writeable = False
+        object.__setattr__(self, "theta0", theta0)
         check_seed("seed", self.seed)
         if self.loss_model is None:
             if self.sigma2 is None or self.kappa2 is None:

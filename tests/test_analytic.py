@@ -17,7 +17,7 @@ from iterboot.analytic import (
     t_star,
     variance_floor,
 )
-from iterboot.engine import CostModel
+from iterboot.engine import CostModel, RunConfig, monte_carlo
 from iterboot.gaussian import GaussianModel, ExpReward, expected_reward
 from iterboot.policy import (
     BudgetConstant,
@@ -316,9 +316,7 @@ class TestCostCurve:
         sigma2, kappa2 = 1.0, 2.0
         s = sigma2 + kappa2
         rho = sigma2 / kappa2
-        quad = cost_curve(
-            sched, theta0, sigma2, kappa2, CostModel(1.0, 0.0), n_t_expectation="quadrature"
-        )
+        ev = cost_curve(sched, theta0, sigma2, kappa2, CostModel(1.0, 0.0))
         running = 0.0
         for T in range(len(sched.n)):
             if T == 0:
@@ -330,29 +328,54 @@ class TestCostCurve:
             for c in mu:
                 closed *= math.sqrt(s / (s - v)) * math.exp(c**2 / (2.0 * (s - v)))
             running += sched.n[T] * closed
-            assert math.isclose(quad.cum_cost[T], running, rel_tol=1e-10)
+            assert math.isclose(ev.cum_cost[T], running, rel_tol=1e-10)
 
     def test_quadrature_exceeds_ratio_approximation(self):
-        # Jensen: E[1/r] >= 1/E[r], so quadrature costs dominate ratio costs
+        # Jensen: E[1/r] >= 1/E[r], so mean_N is at least the ratio
+        # approximation n_t / E[r(theta before t)], with equality only at
+        # the point mass before t = 1.
         sched = materialize(Constant(5), 6)
         theta0 = np.array([1.0])
-        ratio = cost_curve(sched, theta0, 1.0, 2.0, CostModel(1.0, 0.0))
-        quad = cost_curve(
-            sched, theta0, 1.0, 2.0, CostModel(1.0, 0.0), n_t_expectation="quadrature"
-        )
-        assert np.all(quad.cum_cost >= ratio.cum_cost - 1e-12)
+        ev = cost_curve(sched, theta0, 1.0, 2.0, CostModel(1.0, 0.0))
+        r0 = expected_reward(GaussianModel(theta0, 1.0), ExpReward(2.0))
+        ratio = np.array(sched.n) / np.concatenate([[r0], ev.reward[:-1]])
+        assert math.isclose(ev.mean_N[0], ratio[0], rel_tol=1e-14)
+        assert np.all(ev.mean_N[1:] > ratio[1:])
 
-    @pytest.mark.parametrize("mode", ["ratio", "quadrature"])
-    def test_underflowing_reward_names_iteration(self, mode):
-        # E[r(theta0)] = (2/3) * exp(-7200/6) underflows to 0.0.
+    @pytest.mark.parametrize(
+        "kappa2, counts",
+        [pytest.param(2.0, (10, 15, 22, 33), id="toy"), pytest.param(0.8, (1,) * 6, id="n1")],
+    )
+    def test_mean_N_matches_simulation(self, kappa2, counts):
+        # 40 000 serial runs at seed 12345 read |z| <= 1.4 here. The ratio
+        # approximation n_t / E[r] reads 8.7 SE low at the toy's T = 2,
+        # and 16.8 to 20.2 SE low at T = 2..6 with n_t = 1.
+        theta0 = np.array([1.0, 1.0])
+        cost = CostModel(1.0, 1.0)
+        ev = cost_curve(counts, theta0, 1.0, kappa2, cost)
+        cfg = RunConfig(
+            theta0=theta0, schedule=Schedule(counts), cost=cost, seed=12345, sigma2=1.0, kappa2=kappa2
+        )
+        sim = monte_carlo(cfg, 40_000)
+        z = (ev.mean_N - sim.mean_N) / sim.se_N
+        assert np.all(np.abs(z) < 4.0), z
+
+    def test_ratio_and_quadrature_name_one_closed_form(self):
+        args = ((5, 8, 13), np.array([0.7, -1.2, 0.4]), 2.0, 1.7, CostModel(0.5, 1.0))
+        ratio, quad = cost_curve(*args, "ratio"), cost_curve(*args, "quadrature")
+        assert ratio.mean_N.tolist() == quad.mean_N.tolist()
+
+    def test_underflowing_reward_names_iteration(self):
+        # E[r(theta0)] = (2/3) * exp(-7200/6) underflows to 0.0, and
+        # E[1/r] overflows.
         sched = materialize(Exponential(10, 0.5), 3)
-        with pytest.raises(ValueError, match="T=1"):
-            cost_curve(sched, np.array([60.0, 60.0]), 1.0, 2.0, TRAIN_ONLY, mode)
+        with pytest.raises(ValueError, match="infinite at T=1"):
+            cost_curve(sched, np.array([60.0, 60.0]), 1.0, 2.0, TRAIN_ONLY)
 
     # float.hex of cost_curve((5, 8, 13, 21, 34), theta0=(0.7, -1.2, 0.4),
     # sigma2=2.0, kappa2=1.7, CostModel(c_g=0.5, c_t=1.0)). Unlike the goldens
-    # (c_g = 0, d = 2, rho = 0.5, ratio mode only), this case prices
-    # generation, so mean_N[0] and cum_cost pin the t=0 reward's last bit.
+    # (c_g = 0, d = 2, rho = 0.5), this case prices generation, so mean_N
+    # and cum_cost pin the last bits of the closed-form E[N_t].
     PINNED_ROWS = {
         "reward": ["0x1.182ba6fbccb5fp-2", "0x1.286cc33271be8p-2", "0x1.313d278837797p-2",
                    "0x1.3673d72207f20p-2", "0x1.39aa17a331bedp-2"],
@@ -365,26 +388,17 @@ class TestCostCurve:
                "0x1.d5a9113de3d37p-7", "-0x1.9290ea350c6c2p-6", "0x1.0c609c235d9d7p-7"],
     }
     PINNED_DRAWS = {
-        "ratio": {
-            "mean_N": ["0x1.54b462c28d223p+4", "0x1.d3d452737e0b6p+4", "0x1.6744a38ce8990p+5",
-                       "0x1.19cc8899e4219p+6", "0x1.c0957bc4ba8d8p+6"],
-            "cum_cost": ["0x1.f4b462c28d223p+3", "0x1.32222d4d82cb6p+5", "0x1.26e23f89fb8bfp+6",
-                         "0x1.03e441eb76ce6p+7", "0x1.b809a0dca571cp+7"],
-        },
-        "quadrature": {
-            "mean_N": ["0x1.54b462c28d223p+4", "0x1.d85ccf4290693p+4", "0x1.6893b7db69798p+5",
-                       "0x1.1a2b61d6686ffp+6", "0x1.c0cdd1170972ep+6"],
-            "cum_cost": ["0x1.f4b462c28d223p+3", "0x1.33444c814762ep+5", "0x1.27c714377e0fdp+6",
-                         "0x1.046e62915923ep+7", "0x1.b8a1d6d71b80ap+7"],
-        },
+        "mean_N": ["0x1.54b462c28d222p+4", "0x1.d85ccf4290696p+4", "0x1.6893b7db69799p+5",
+                   "0x1.1a2b61d668700p+6", "0x1.c0cdd11709731p+6"],
+        "cum_cost": ["0x1.f4b462c28d222p+3", "0x1.33444c814762ep+5", "0x1.27c714377e0fdp+6",
+                     "0x1.046e62915923ep+7", "0x1.b8a1d6d71b80ap+7"],
     }
 
-    @pytest.mark.parametrize("mode", ["ratio", "quadrature"])
-    def test_pinned_bits_with_generation_cost(self, mode):
+    def test_pinned_bits_with_generation_cost(self):
         ev = cost_curve(
-            (5, 8, 13, 21, 34), np.array([0.7, -1.2, 0.4]), 2.0, 1.7, CostModel(0.5, 1.0), mode
+            (5, 8, 13, 21, 34), np.array([0.7, -1.2, 0.4]), 2.0, 1.7, CostModel(0.5, 1.0)
         )
-        for field, expected in {**self.PINNED_ROWS, **self.PINNED_DRAWS[mode]}.items():
+        for field, expected in {**self.PINNED_ROWS, **self.PINNED_DRAWS}.items():
             got = [float(v).hex() for v in np.ravel(getattr(ev, field))]
             assert got == expected, field
 

@@ -809,6 +809,13 @@ class TestOneWayPerModel:
         with pytest.raises(FrozenInstanceError):
             cfg.eta = 0.0
 
+    def test_checked_theta0_cannot_be_written(self):
+        # cfg.theta0[:] = np.nan used to pass after construction had checked
+        # theta0 finite, and every later run then started from NaN.
+        cfg = toy_config(Schedule((5,)))
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.theta0[:] = np.nan
+
     def test_bad_eta_job_yields_nothing_and_runs_no_block(self, monkeypatch):
         # A bad eta used to fail inside the second job's first block, after
         # the first job's aggregate had been yielded.
