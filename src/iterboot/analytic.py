@@ -74,18 +74,6 @@ class PolicyEvaluation:
     r_star: float
 
 
-def _counts(schedule: Schedule | Sequence[int]) -> tuple[int, ...]:
-    """The counts n_t; integral floats such as 10.0 are taken as ints.
-    Raises ``ValueError`` naming any count that is not an integer >= 1."""
-    if isinstance(schedule, Schedule):
-        return schedule.n
-    ns = tuple(schedule)
-    bad = [v for v in ns if not (v >= 1 and float(v).is_integer())]
-    if bad:
-        raise ValueError(f"counts must be integers >= 1, got {', '.join(map(str, bad))}")
-    return tuple(int(v) for v in ns)
-
-
 def _check_budget(C: int, T: int) -> tuple[int, int]:
     """C and T as ints, after checking that both are integers >= 1 and
     C >= T."""
@@ -145,12 +133,12 @@ def marginal(
     mu_T = theta0 / (1+rho)^T,
     sigma2_T = sigma2 * sum_t 1 / (n_t * (1+rho)^(2(T-t)-1)).
 
-    Raises ``ValueError`` for an empty schedule, a count that is not an
-    integer >= 1, a theta0 that ``check_theta`` rejects, or sigma2, kappa2 not positive finite.
+    A sequence is read as ``Schedule(tuple(schedule))``. Raises
+    ``ValueError`` where :class:`Schedule` does (an empty schedule, an
+    entry that is not an integer >= 1), for a theta0 that ``check_theta``
+    rejects, or sigma2, kappa2 not positive finite.
     """
-    ns = _counts(schedule)
-    if not ns:
-        raise ValueError("marginal needs a non-empty schedule")
+    ns = (schedule if isinstance(schedule, Schedule) else Schedule(tuple(schedule))).n
     theta0 = check_theta("theta0", theta0)
     *_, (mu, var) = _StepLaw(sigma2, kappa2).trajectory(theta0, ns)
     return MarginalLaw(mu=mu, sigma2_T=var)
@@ -282,11 +270,13 @@ def cost_curve(
     "quadrature" both select this closed form. It is kept because
     perfbench's probes pass it, and goes when they stop.
 
-    Raises ``ValueError`` for any other ``n_t_expectation``, a theta0 that
-    ``check_theta`` rejects, or sigma2, kappa2 not positive finite, and
-    one naming the iteration T at which E[1/r] overflows.
+    A sequence is read as ``Schedule(tuple(schedule))``. Raises
+    ``ValueError`` where :class:`Schedule` does (an empty schedule, an
+    entry that is not an integer >= 1), for any other ``n_t_expectation``,
+    a theta0 that ``check_theta`` rejects, or sigma2, kappa2 not positive
+    finite, and one naming the iteration T at which E[1/r] overflows.
     """
-    ns = _counts(schedule)
+    ns = (schedule if isinstance(schedule, Schedule) else Schedule(tuple(schedule))).n
     theta0 = check_theta("theta0", theta0)
     if n_t_expectation not in ("ratio", "quadrature"):
         raise ValueError(f"unknown n_t_expectation {n_t_expectation!r}")
@@ -322,7 +312,7 @@ def cost_curve(
         mean_N=mean_N,
         mu=mus[1:],
         sigma2_T=sig2s[1:],
-        n=tuple(ns),
+        n=ns,
         r_star=r_star,
     )
 

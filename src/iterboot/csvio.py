@@ -67,31 +67,22 @@ AGG_COLUMNS = tuple(f.name for f in fields(AggRow))
 _COLUMN_TYPES = tuple(get_type_hints(AggRow)[name] for name in AGG_COLUMNS)
 
 
-class _CellRules(dict):
-    """The rule for cells of each type, decided when the type is first
-    seen, so that a cell costs one dict lookup before it is rendered. A
-    rule depends on the type alone, so one table serves every caller."""
-
-    def __missing__(self, kind: type):
-        if issubclass(kind, str) or kind is int:
-            self[kind] = str
-        elif issubclass(kind, (int, np.integer)):
-            self[kind] = lambda v: str(int(v))
-        elif issubclass(kind, np.ndarray):
-            self[kind] = lambda v: '"' + ",".join(map(format_float, v)) + '"'
-        else:
-            self[kind] = format_float
-        return self[kind]
-
-
-_CELL_RULES = _CellRules()
+def _cell(v) -> str:
+    """One cell, rendered by its type (see the module docstring)."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, np.ndarray):
+        return '"' + ",".join(map(format_float, v)) + '"'
+    return format_float(v)
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The CSV text of ``header`` and ``rows``, each cell rendered by its
     type (see the module docstring), newline-terminated."""
     lines = [",".join(header)]
-    lines.extend(",".join([_CELL_RULES[type(v)](v) for v in row]) for row in rows)
+    lines.extend(",".join([_cell(v) for v in row]) for row in rows)
     return "\n".join(lines) + "\n"
 
 

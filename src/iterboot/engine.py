@@ -484,12 +484,13 @@ def select_batch(
     accept each sample with probability equal to its reward, stop at
     exactly n_t acceptances. Returns the accepted batch and the number
     of draws consumed; raises :class:`DrawCapExceeded` if the cap would
-    be exhausted first."""
+    be exhausted first, and ``ValueError`` unless n_t and cap are
+    integers >= 1."""
     D, N_t, _ = _select(
         lambda k: gaussian.sample(model, rng, k),
         lambda x: gaussian.reward(reward_model, x),
-        n_t,
-        cap,
+        check_positive_int("n_t", n_t),
+        check_positive_int("cap", cap),
         model.d,
         rng,
     )

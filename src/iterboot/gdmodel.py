@@ -9,7 +9,7 @@ one averaged gradient step. The Gaussian instance,
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class DivergenceError(RuntimeError):
     """Raised when an update produces a non-finite parameter vector."""
 
 
-@runtime_checkable
 class LossModel(Protocol):
     """Behavior contract for loss-driven models.
 

@@ -116,24 +116,14 @@ class Exponential(PolicySpec):
 
 @dataclass(frozen=True)
 class Explicit(PolicySpec):
-    """A literal list of per-iteration counts."""
+    """A literal list of per-iteration counts, each checked as a
+    :class:`Schedule` entry."""
 
     family: ClassVar[str] = "explicit"
     schedule: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(isinstance(c, bool) or not isinstance(c, numbers.Real) for c in self.schedule):
-            raise ValueError(
-                f"explicit counts must be integral numbers, not bools, got {list(self.schedule)}"
-            )
-        counts = tuple(int(c) for c in self.schedule)
-        if counts != tuple(self.schedule):
-            raise ValueError(f"explicit counts must be integral, got {list(self.schedule)}")
-        object.__setattr__(self, "schedule", counts)
-        if not self.schedule:
-            raise ValueError("Explicit policy needs a non-empty count list")
-        for c in self.schedule:
-            check_positive_int("explicit count", c)
+        object.__setattr__(self, "schedule", Schedule(tuple(self.schedule)).n)
 
     def counts(self, T: int) -> list[int]:
         if len(self.schedule) != T:

@@ -48,12 +48,12 @@ class TestMarginal:
         assert np.array_equal(law.mu, np.zeros(3))
 
     def test_rejects_empty_schedule(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Schedule must have at least one iteration$"):
             marginal(1.0, [], 1.0, 2.0)
 
     def test_rejects_a_zero_count(self):
         # Used to divide by it and raise a bare ZeroDivisionError.
-        with pytest.raises(ValueError, match="counts must be integers >= 1, got 0"):
+        with pytest.raises(ValueError, match="^schedule entry must be an integer >= 1, got 0$"):
             marginal(1.0, [0, 10], 1.0, 2.0)
 
     @pytest.mark.parametrize("theta0", [[math.nan, 1.0], [math.inf]])
@@ -271,19 +271,19 @@ class TestVarianceFloor:
 class TestCostCurve:
     def test_rejects_a_fractional_count(self):
         # Used to cut 2.5 to 2 and return n = (2, 10).
-        with pytest.raises(ValueError, match="counts must be integers >= 1, got 2.5"):
+        with pytest.raises(ValueError, match="^schedule entry must be an integer >= 1, got 2.5$"):
             cost_curve([2.5, 10], 1.0, 1.0, 2.0, TRAIN_ONLY)
 
     def test_rejects_a_negative_count(self):
         # Used to return a negative parameter variance, sigma2_T = [-0.222, -0.032].
-        with pytest.raises(ValueError, match="counts must be integers >= 1, got -3"):
+        with pytest.raises(ValueError, match="^schedule entry must be an integer >= 1, got -3$"):
             cost_curve([-3, 10], 1.0, 1.0, 2.0, TRAIN_ONLY)
 
-    def test_takes_integral_floats(self):
-        # Counts read back from CSV are floats; 10.0 is the count 10.
-        ev = cost_curve([10.0, 15.0], 1.0, 1.0, 2.0, TRAIN_ONLY)
-        assert ev.n == (10, 15) and all(type(v) is int for v in ev.n)
-        assert ev.gap.tolist() == cost_curve([10, 15], 1.0, 1.0, 2.0, TRAIN_ONLY).gap.tolist()
+    def test_rejects_integral_floats(self):
+        # A count is an integer, as in a Schedule; 10.0 used to run as 10.
+        # Counts read back from CSV are ints (AggRow.n_t), not floats.
+        with pytest.raises(ValueError, match="^schedule entry must be an integer >= 1, got 10.0$"):
+            cost_curve([10.0, 15], 1.0, 1.0, 2.0, TRAIN_ONLY)
 
     def test_training_only_cost_is_prefix_sum(self):
         sched = materialize(Exponential(10, 0.5), 6)

@@ -196,6 +196,13 @@ class TestSimulate:
         affinity = len(os.sched_getaffinity(0))
         assert usable_cpus(root, own_path) == (affinity if want is None else min(affinity, want))
 
+    def test_usable_cpus_without_affinity_is_the_cpu_count(self, tmp_path, monkeypatch):
+        # Platforms without os.sched_getaffinity fall back to os.cpu_count().
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        no_cgroup = tmp_path / "missing"
+        assert usable_cpus(no_cgroup, no_cgroup) == 3
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--workers", "0"), ("--workers", "-3"), ("--traces", "-2"), ("--seed", "-1"), ("--seed", str(2**64))],
@@ -492,6 +499,12 @@ class TestOptimalPolicy:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: weights C*(1+rho)**t overflow a float at horizon T=1100" in captured.err
+
+    def test_theta0_beyond_the_hypothesis_warns_and_prints_the_schedule(self, capsys):
+        flags = ["-C", "21", "-T", "3", "--sigma2", "1", "--kappa2", "1", "--theta0", "1e9", "1e9"]
+        with pytest.warns(UserWarning, match="exceeds the optimality hypothesis bound 16;"):
+            assert main(["optimal-policy", *flags]) == 0
+        assert "integer schedule:   [3, 6, 12]" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -84,6 +84,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is empty: no CSV header$"):
             read_agg_csv(path)
 
+    def test_blank_line_is_skipped(self, small_agg, tmp_path):
+        path = tmp_path / "x.csv"
+        write_agg_csv(path, aggregate_rows("exp", small_agg))
+        rows = read_agg_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([*lines[:2], "\n", *lines[2:]]))
+        assert read_agg_csv(path) == rows
+
     def test_row_with_extra_field_rejected(self, small_agg, tmp_path):
         path = tmp_path / "x.csv"
         write_agg_csv(path, aggregate_rows("con,stant", small_agg))

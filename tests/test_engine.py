@@ -795,6 +795,14 @@ class TestOneWayPerModel:
         with pytest.raises(ValueError, match="^sigma2 and kappa2 set the Gaussian pair; a loss_model takes neither$"):
             replace(TestMissingOptimum.missing(), r_star=1.0, **{key: 2.0})
 
+    @pytest.mark.parametrize("key", ["sigma2", "kappa2"])
+    def test_pair_needs_both_variances(self, key):
+        with pytest.raises(ValueError, match="^sigma2 and kappa2 are required without a loss_model$"):
+            RunConfig(
+                theta0=1.0, schedule=Schedule((5,)), cost=CostModel(0.0, 1.0), seed=0,
+                **{"sigma2": 1.0, "kappa2": 2.0, key: None},
+            )
+
     def test_pair_rejects_r_star(self):
         with pytest.raises(ValueError, match="^r_star goes only with a loss_model"):
             toy_config(Schedule((5,)), r_star=0.5)

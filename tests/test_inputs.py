@@ -17,10 +17,17 @@ from iterboot.analytic import (
     optimal_schedule,
     variance_floor,
 )
-from iterboot.engine import CostModel, RunConfig, monte_carlo
-from iterboot.gaussian import GaussianModel, GaussianNll, check_theta, optimal_reward, post_selection_params
+from iterboot.engine import CostModel, RunConfig, monte_carlo, select_batch
+from iterboot.gaussian import (
+    ExpReward,
+    GaussianModel,
+    GaussianNll,
+    check_theta,
+    optimal_reward,
+    post_selection_params,
+)
 from iterboot.gdmodel import check_gradient
-from iterboot.policy import Constant, Schedule, materialize
+from iterboot.policy import Constant, Explicit, Schedule, materialize
 
 TRAIN_ONLY = CostModel(0.0, 1.0)
 
@@ -86,11 +93,18 @@ class TestTheta:
             call(theta)
 
 
+_SELECT_PAIR = (GaussianModel(1.0, 1.0), ExpReward(2.0))
+
 # Each integer count an entry point takes, with the name its messages use.
 _COUNT_CALLS = {
     "RunConfig.max_draws_per_iter": ("max_draws_per_iter", lambda v: run_config(max_draws_per_iter=v)),
     "RunConfig.eval_samples": ("eval_samples", lambda v: run_config(eval_samples=v)),
     "Schedule": ("schedule entry", lambda v: Schedule((10, v))),
+    "Explicit": ("schedule entry", lambda v: Explicit([10, v])),
+    "cost_curve": ("schedule entry", lambda v: cost_curve([10, v], 1.0, 1.0, 2.0, TRAIN_ONLY)),
+    "marginal": ("schedule entry", lambda v: marginal(1.0, [10, v], 1.0, 2.0)),
+    "select_batch.n_t": ("n_t", lambda v: select_batch(*_SELECT_PAIR, v, 1000, np.random.default_rng(0))),
+    "select_batch.cap": ("cap", lambda v: select_batch(*_SELECT_PAIR, 10, v, np.random.default_rng(0))),
     "optimal_reward": ("d", lambda v: optimal_reward(v, 1.0, 2.0)),
     "gaussian_nll": ("d", lambda v: GaussianNll(1.0, 2.0, v)),
     "continuous_optimum": ("T", lambda v: continuous_optimum(21, v, 1.0, 2.0)),
@@ -110,10 +124,27 @@ def test_every_count_must_be_an_integer_of_at_least_one(entry, value):
     # max_draws_per_iter = 12.5 used to pass and then fail in numpy's
     # reduction of a zero-size array; variance_floor(2.5, 1, 2) read 0.48;
     # optimal_schedule(21.5, 3, 1, 2) summed to 21, brute_force_optimal
-    # and monte_carlo(cfg, 3.0) raised TypeError.
+    # and monte_carlo(cfg, 3.0) raised TypeError; cost_curve and marginal
+    # ran True as the count 1 and 10.0 as 10; select_batch raised a bare
+    # TypeError for n_t = True or 10.0 and took cap = 1000.5.
     name, call = _COUNT_CALLS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"):
         call(value)
+
+
+_SCHEDULE_CALLS = {
+    "Schedule": lambda ns: Schedule(tuple(ns)),
+    "Explicit": Explicit,
+    "cost_curve": lambda ns: cost_curve(ns, 1.0, 1.0, 2.0, TRAIN_ONLY),
+    "marginal": lambda ns: marginal(1.0, ns, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SCHEDULE_CALLS))
+def test_every_schedule_must_have_an_iteration(entry):
+    # cost_curve([]) used to return empty curves, where marginal raised.
+    with pytest.raises(ValueError, match="^Schedule must have at least one iteration$"):
+        _SCHEDULE_CALLS[entry]([])
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.uint8])
@@ -128,6 +159,12 @@ def test_a_numpy_integer_count_reads_as_the_python_int(kind):
     assert type(GaussianNll(1.0, 2.0, kind(3)).d) is int
     schedule = Schedule((kind(10), kind(3)))
     assert schedule == Schedule((10, 3)) and [type(v) for v in schedule.n] == [int, int]
+    assert Explicit([kind(10), kind(3)]) == Explicit([10, 3])
+    assert cost_curve([kind(10), kind(3)], 1.0, 1.0, 2.0, TRAIN_ONLY).n == (10, 3)
+    law, want = marginal(1.0, [kind(10), kind(3)], 1.0, 2.0), marginal(1.0, [10, 3], 1.0, 2.0)
+    assert law.mu.tolist() == want.mu.tolist() and law.sigma2_T == want.sigma2_T
+    got = select_batch(*_SELECT_PAIR, kind(5), kind(200), np.random.default_rng(0))
+    assert got[1] == select_batch(*_SELECT_PAIR, 5, 200, np.random.default_rng(0))[1]
     spec = Constant(kind(4))
     assert type(spec.n0) is int and materialize(spec, kind(2)) == Schedule((4, 4))
     cfg = run_config(max_draws_per_iter=kind(200), eval_samples=kind(50))

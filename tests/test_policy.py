@@ -44,9 +44,15 @@ class TestMaterialize:
         assert materialize(Explicit([3, 1, 4]), 3).n == (3, 1, 4)
 
     def test_explicit_rejects_non_integral_counts(self):
-        with pytest.raises(ValueError, match="integral"):
+        # Entries are checked as a Schedule's: numpy integers become ints,
+        # and a float raises even when integral (3.0 used to read as 3).
+        with pytest.raises(ValueError, match="^schedule entry must be an integer >= 1, got 2.7$"):
             Explicit([2.7, 3])
-        assert materialize(Explicit([np.int64(2), 3.0]), 2).n == (2, 3)
+        with pytest.raises(ValueError, match="^schedule entry must be an integer >= 1, got 3.0$"):
+            Explicit([np.int64(2), 3.0])
+        spec = Explicit([np.int64(2), 3])
+        assert spec.schedule == (2, 3) and [type(c) for c in spec.schedule] == [int, int]
+        assert materialize(spec, 2).n == (2, 3)
 
     def test_explicit_length_mismatch(self):
         with pytest.raises(ValueError, match="entries but T"):
@@ -78,13 +84,13 @@ class TestMaterialize:
             Exponential(10, 0.0)
         with pytest.raises(ValueError):
             Polynomial(10, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Schedule must have at least one iteration$"):
             Explicit([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^schedule entry must be an integer >= 1, got 0$"):
             Explicit([1, 0, 2])
         for bools in ([True, 2], [np.bool_(True), 2], (False, 1)):
-            with pytest.raises(ValueError, match="not bools"):
-                materialize(Explicit(bools), 2)
+            with pytest.raises(ValueError, match=f"^schedule entry must be an integer >= 1, got {bools[0]!r}$"):
+                Explicit(bools)
         with pytest.raises(ValueError):
             BatchConstant(1.0, 0)
 
