@@ -44,7 +44,7 @@ BRUTE_FORCE_MAX_BUDGET = 60
 BRUTE_FORCE_MAX_ITERS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalLaw:
     """Exact law of theta^(T) under MLE updates: N(mu, sigma2_T * I_d), d = mu.size."""
 
@@ -52,7 +52,7 @@ class MarginalLaw:
     sigma2_T: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyEvaluation:
     """Analytic curves over schedule prefixes T = 1..len(schedule).
 

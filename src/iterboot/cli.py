@@ -16,7 +16,8 @@ Each ``cmd_*`` returns the text it prints on stdout, or raises; only
 (:class:`ConfigError`), 2 runtime failure. All state flows through flags
 and the config file; no environment variables. ``simulate`` and ``sweep``
 run on as many pool workers as the process has usable CPUs unless
-``--workers`` says otherwise; every width writes the same bytes.
+``--workers`` says otherwise, and on no more workers than they have
+Monte Carlo blocks; every width writes the same bytes.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 WORKERS_HELP = (
-    "process-pool width (default: the CPUs this process may run on, by its "
-    "CPU affinity, capped at its cgroup CPU quota rounded up); 1 runs "
-    "serially, and every width writes the same bytes"
+    "largest process-pool width (default: the CPUs this process may run on, "
+    "by its CPU affinity, capped at its cgroup CPU quota rounded up), fewer "
+    "if the command has fewer Monte Carlo blocks; 1 runs serially, and "
+    "every width writes the same bytes"
 )
 
 

@@ -78,7 +78,7 @@ def _key(section: str, default: object = MISSING, key: str | None = None):
     return field(default=default, metadata={"section": section, "key": key})
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class ExperimentConfig:
     sigma2: float = _key("model")
     kappa2: float = _key("model")

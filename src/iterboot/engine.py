@@ -118,19 +118,15 @@ def _state_words(lo, hi) -> list:
     return [s[j] | s[j + 1] << 32 for j in range(0, 8, 2)]
 
 
-def _seed_words(seeds: list[int]) -> np.ndarray:
-    """The PCG64 seed words of ``np.random.default_rng(seed)`` for each
-    seed, as the rows of an (N, 4) uint64 array. Seeds must lie in
-    [0, 2**64), the range of :func:`run_seed`."""
+def _generators(seeds: list[int]) -> np.ndarray:
+    """An object array of one generator per seed, each in the state
+    ``np.random.default_rng(seed)`` gives it; the seeds are hashed into
+    PCG64 seed words at once. Seeds must lie in [0, 2**64), the range of
+    :func:`run_seed`."""
     if seeds and not (0 <= min(seeds) and max(seeds) <= _MASK64):
         raise ValueError(f"seeds must lie in [0, 2**64), got {min(seeds)}..{max(seeds)}")
     s = np.array(seeds, dtype=np.uint64)
-    return np.stack(_state_words(s & _M32, s >> 32), axis=1)
-
-
-def _generators(words: np.ndarray) -> np.ndarray:
-    """An object array of one generator per row of :func:`_seed_words`,
-    each in the state ``np.random.default_rng`` gives its seed."""
+    words = np.stack(_state_words(s & _M32, s >> 32), axis=1)
     make = _pcg64_generator()
     return np.array([make(w) for w in words], dtype=object)
 
@@ -168,7 +164,7 @@ class DrawCapExceeded(RuntimeError):
         self.needed = needed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """State after one iteration: counts, parameter, reward, cost."""
 
@@ -180,7 +176,7 @@ class IterationRecord:
     cum_cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
     """Per-iteration records of one run plus its termination status."""
 
@@ -190,7 +186,7 @@ class RunTrace:
     clipped_rewards: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloTrace:
     """What :func:`monte_carlo` returns: per-iteration mean/standard-error
     curves over completed runs, the run counts by status, the r* the gaps
@@ -216,7 +212,7 @@ class MonteCarloTrace:
     traces: tuple[RunTrace, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """Everything one run needs. Its model comes one of two ways, each
     rejecting the other's parameters: the Gaussian/exponential-reward
@@ -497,7 +493,7 @@ def select_batch(
     return D, N_t
 
 
-@dataclass
+@dataclass(eq=False)
 class _Block:
     """The runs of one lockstep block, run i in row i: its seed, status,
     clipped-reward count and number of completed iterations, and for each
@@ -514,11 +510,10 @@ class _Block:
     cost: np.ndarray  # (B, T)
 
 
-def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None) -> _Block:
+def _run_block(cfg: RunConfig, seeds: list[int]) -> _Block:
     """Run one seed per run over cfg.schedule, all runs in lockstep.
     Each run is what a run alone with that seed would be, bit for bit;
-    divergence and draw-cap terminations flag the run and stop it.
-    ``words`` are the seeds' :func:`_seed_words`, if already known."""
+    divergence and draw-cap terminations flag the run and stop it."""
     lm = cfg.loss_model
     if lm is None:
         lm = gaussian.GaussianNll(cfg.sigma2, cfg.kappa2, cfg.theta0.size)
@@ -537,7 +532,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
         reward=np.zeros((B, T)),
         cost=np.zeros((B, T)),
     )
-    gens = _generators(_seed_words(seeds) if words is None else words)
+    gens = _generators(seeds)
     # The runs still going, with their thetas and cumulative costs.
     live = np.arange(B)
     theta = np.repeat(cfg.theta0[None], B, axis=0)
@@ -586,7 +581,7 @@ def _run_block(cfg: RunConfig, seeds: list[int], words: np.ndarray | None = None
             reward = closed(theta)
         else:
             eval_seeds = [run_seed(seeds[i], 0x45564C00 + t) for i in live.tolist()]
-            evals = _generators(_seed_words(eval_seeds))
+            evals = _generators(eval_seeds)
             reward = [_mc_expected_reward(lm, th, cfg, rng) for th, rng in zip(theta, evals)]
         out.N[live, t] = drawn
         out.theta[live, t] = theta
@@ -671,10 +666,11 @@ def _mc_expected_reward(
     return float(np.mean(np.clip(lm.reward(x), 0.0, 1.0)))
 
 
-def _mc_block(cfg: RunConfig, seeds: list[int], traces: int, words: np.ndarray) -> _Block:
-    """A block of a Monte Carlo job that keeps the theta records of its
-    first ``traces`` runs only, which are all its traces read."""
-    block = _run_block(cfg, seeds, words)
+def _mc_block(cfg: RunConfig, start: int, stop: int, traces: int) -> _Block:
+    """Runs ``start`` to ``stop`` of a Monte Carlo job, seeded
+    run_seed(cfg.seed, i), as one block that keeps the theta records of
+    its first ``traces`` runs only, which are all its traces read."""
+    block = _run_block(cfg, [run_seed(cfg.seed, i) for i in range(start, stop)])
     block.theta = block.theta[: max(traces, 0)].copy()
     return block
 
@@ -691,8 +687,8 @@ def monte_carlo(
     first ``traces`` runs come back too. Requires at least two
     completed runs. The one-job case of :func:`monte_carlo_jobs`, which
     says how the runs execute: serially, or with ``workers > 1`` on a
-    pool of that width that lasts for this call. The aggregate does not
-    depend on it.
+    pool at most that wide that lasts for this call. The aggregate does
+    not depend on it.
     """
     (agg,) = monte_carlo_jobs([(cfg, runs)], workers, traces)
     return agg
@@ -709,14 +705,15 @@ def monte_carlo_jobs(
     Runs execute in lockstep blocks, sized by their batch bytes by one
     rule at every width (see :func:`_block_args`). Serially (``workers``
     1) a job's blocks run when its aggregate is asked for. ``workers >
-    1`` starts one process pool of that width, which these jobs own: the
-    blocks of every job are queued on it before any result is awaited,
-    so the pool stays busy while the caller handles each aggregate as it
-    comes. Blocks are reduced in run-index order either way, so no
-    aggregate depends on the execution mode. The pool is shut down when
-    the last aggregate has been taken, or when a job fails or the caller
-    closes the generator early; then the blocks still queued are
-    cancelled and the running ones are waited for.
+    1`` starts one process pool of that width, or as wide as the jobs
+    have blocks if they have fewer, which these jobs own: the blocks of
+    every job are queued on it before any result is awaited, so the pool
+    stays busy while the caller handles each aggregate as it comes.
+    Blocks are reduced in run-index order either way, so no aggregate
+    depends on the execution mode. The pool is shut down when the last
+    aggregate has been taken, or when a job fails or the caller closes
+    the generator early; then the blocks still queued are cancelled and
+    the running ones are waited for.
     """
     jobs = [(cfg, check_positive_int("runs", runs)) for cfg, runs in jobs]
     workers = check_positive_int("workers", workers)
@@ -729,17 +726,16 @@ def monte_carlo_jobs(
     # The jobs together get about two blocks per worker or more, to keep
     # a pool's workers evenly loaded to the end.
     most = max(1, sum(runs for _, runs in jobs) // (2 * workers))
+    blocks = [(cfg, _block_args(cfg, runs, most, traces)) for cfg, runs in jobs]
     if workers == 1:
-        for cfg, runs in jobs:
-            blocks = [_mc_block(*a) for a in _block_args(cfg, runs, most, traces)]
-            yield _reduce(cfg, blocks, traces)
+        for cfg, args in blocks:
+            yield _reduce(cfg, [_mc_block(*a) for a in args], traces)
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    # A pool starts all its workers at the first submit; more than one a
+    # block would sit idle.
+    pool = ProcessPoolExecutor(max_workers=min(workers, sum(len(args) for _, args in blocks)))
     try:
-        queued = [
-            (cfg, [pool.submit(_mc_block, *a) for a in _block_args(cfg, runs, most, traces)])
-            for cfg, runs in jobs
-        ]
+        queued = [(cfg, [pool.submit(_mc_block, *a) for a in args]) for cfg, args in blocks]
         for cfg, futures in queued:
             yield _reduce(cfg, [f.result() for f in futures], traces)
             futures.clear()  # the futures hold the job's block arrays
@@ -749,20 +745,15 @@ def monte_carlo_jobs(
 
 def _block_args(
     cfg: RunConfig, runs: int, most: int, traces: int
-) -> list[tuple[RunConfig, list[int], int, np.ndarray]]:
-    """The :func:`_mc_block` arguments of a job's blocks; the seed words
-    of the whole job are hashed at once. A block takes as many runs as
-    _BATCH_BYTES holds batch buffers of the largest n_t rows at the
-    job's d, which spreads its array work (and its pool task) over more
-    runs while its one batch stays small; at least one run, and never
-    more than ``most``."""
+) -> list[tuple[RunConfig, int, int, int]]:
+    """The :func:`_mc_block` arguments of a job's blocks, each a range of
+    run indices. A block takes as many runs as _BATCH_BYTES holds batch
+    buffers of the largest n_t rows at the job's d, which spreads its
+    array work (and its pool task) over more runs while its one batch
+    stays small; at least one run, and never more than ``most``."""
     batch = 8 * cfg.theta0.size * max(cfg.schedule.n)
     size = min(max(1, _BATCH_BYTES // batch), most)
-    seeds = [run_seed(cfg.seed, i) for i in range(runs)]
-    words = _seed_words(seeds)
-    return [
-        (cfg, seeds[i : i + size], traces - i, words[i : i + size]) for i in range(0, runs, size)
-    ]
+    return [(cfg, i, min(i + size, runs), traces - i) for i in range(0, runs, size)]
 
 
 def _reduce(cfg: RunConfig, blocks: list[_Block], traces: int) -> MonteCarloTrace:

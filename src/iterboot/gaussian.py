@@ -45,7 +45,7 @@ def check_theta(name: str, theta: np.ndarray | float) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class GaussianModel:
     """N(theta, sigma2 * I_d). ``theta`` is copied and checked at
     construction; nothing changes it later (runs keep thetas in arrays)."""

@@ -23,7 +23,7 @@ _WIDTH, _HEIGHT = 720.0, 480.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72.0, 24.0, 40.0, 56.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
     """One curve: cost on x, gap on y, optional SE band half-width."""
 

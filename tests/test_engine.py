@@ -105,19 +105,19 @@ class TestSeedSplitting:
             assert gen.standard_normal(5).tobytes() == want.standard_normal(5).tobytes(), seed
 
     def test_batched_generators_are_default_rng(self):
-        # A job's seed words are hashed at once, one row per seed.
+        # A block's seeds are hashed at once, one row of words per seed.
         seeds = self.EDGE_SEEDS + [run_seed(987654321, i) for i in range(1000)]
-        self.assert_default_rng(engine._generators(engine._seed_words(seeds)), seeds)
+        self.assert_default_rng(engine._generators(seeds), seeds)
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_lone_generator_is_default_rng(self, seed):
-        self.assert_default_rng(engine._generators(engine._seed_words([seed])), [seed])
+        self.assert_default_rng(engine._generators([seed]), [seed])
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_64_bits_is_rejected(self, seed):
         for seeds in ([seed], [seed] + list(range(20))):
             with pytest.raises(ValueError, match="2\\*\\*64"):
-                engine._seed_words(seeds)
+                engine._generators(seeds)
         with pytest.raises(ValueError):
             run(toy_config(Schedule((5,)), seed=seed))
 
@@ -541,9 +541,9 @@ class TestMonteCarlo:
         sizes = []
         block = engine._run_block
 
-        def counting(cfg, seeds, words=None):
+        def counting(cfg, seeds):
             sizes.append(len(seeds))
-            return block(cfg, seeds, words)
+            return block(cfg, seeds)
 
         monkeypatch.setattr(engine, "_run_block", counting)
         cfg = toy_config(Schedule((10, 18, 27)), seed=5)
@@ -561,8 +561,10 @@ class TestMonteCarlo:
     )
     def test_blocks_take_the_batches_a_mebibyte_holds(self, d, n, runs, most, sizes):
         cfg = toy_config(Schedule((n // 4, n)), theta0=(0.5,) * d)
-        args = engine._block_args(cfg, runs, most, traces=0)
-        assert [len(seeds) for _, seeds, _, _ in args] == sizes
+        _, starts, stops, _ = zip(*engine._block_args(cfg, runs, most, traces=0))
+        assert [b - a for a, b in zip(starts, stops)] == sizes
+        # The run ranges tile the job in order.
+        assert starts == (0,) + stops[:-1] and stops[-1] == runs
 
     def test_same_master_seed_identical_aggregates(self):
         cfg = toy_config(Schedule((10, 15)), seed=7)
@@ -704,6 +706,24 @@ class TestMonteCarloJobs:
         assert len(got) == len(jobs)
         for agg, (cfg, runs) in zip(got, jobs):
             assert_same_aggregate(agg, monte_carlo(cfg, runs))
+
+    def test_pool_is_no_wider_than_the_blocks(self, monkeypatch):
+        # 3 runs on 8 workers make three one-run blocks. A pool starts all
+        # its workers at the first submit, so 5 of 8 would sit idle.
+        from test_lockstep import assert_same_aggregate
+
+        widths = []
+
+        class CountedPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                widths.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountedPool)
+        cfg = toy_config(Schedule((5, 10)), seed=6)
+        agg = monte_carlo(cfg, 3, workers=8)
+        assert widths == [3]
+        assert_same_aggregate(agg, monte_carlo(cfg, 3))
 
     @pytest.mark.parametrize("first_fails", [True, False], ids=["failed_job", "early_close"])
     def test_failed_job_cancels_queued_blocks(self, monkeypatch, first_fails):
