@@ -69,17 +69,17 @@ WORKERS_HELP = (
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file, with the --out, --seed and --svg flags applied."""
+    """The config file, with --out and the command's --seed and --svg applied."""
     cfg = load_config(args.config)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         try:
             engine.check_seed("--seed", args.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         cfg = replace(cfg, master_seed=args.seed)
-    if args.svg is not None:
+    if getattr(args, "svg", None) is not None:
         cfg = replace(cfg, emit_svg=args.svg)
     return cfg
 
@@ -274,19 +274,16 @@ def cmd_optimal_policy(args: argparse.Namespace) -> str:
 def cmd_sweep(args: argparse.Namespace) -> str:
     workers = _check_counts(args)
     cfg = _load(args)
-    values = []
-    for tok in filter(str.strip, args.values.split(",")):
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ConfigError(f"--values {args.values!r}: {tok.strip()!r} is not a number") from None
-    if not values:
+    # Each token is config text for the axis key and names its point as typed.
+    names = [tok.strip() for tok in args.values.split(",") if tok.strip()]
+    if not names:
         raise ConfigError("sweep needs a non-empty --values list")
-    names = [f"{v:g}" for v in values]
     if len(set(names)) != len(names):
-        # Point directories and summary rows are named by {value:g}.
         raise ConfigError(f"--values {args.values!r} repeat a point name: {names}")
-    swept = [apply_override(cfg, args.axis, v) for v in values]
+    try:
+        swept = [apply_override(cfg, args.axis, name) for name in names]
+    except ConfigError as exc:
+        raise ConfigError(f"--values {args.values!r}: {exc}") from None
     base = Path(cfg.out_dir)
     axis_slug = args.axis.replace(".", "_")
     points = [(sub_cfg, base / f"sweep_{axis_slug}_{name}") for sub_cfg, name in zip(swept, names)]
@@ -301,7 +298,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     # Each point's status, by its name, the suffix of its directory.
     status = {name: _status(sub_cfg, aggs) for name, sub_cfg, aggs in zip(names, swept, results)}
     return json.dumps(
-        {"command": "sweep", "axis": args.axis, "values": values, "out": str(base), "status": status},
+        {"command": "sweep", "axis": args.axis, "values": names, "out": str(base), "status": status},
         indent=2,
     )
 
@@ -364,17 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, *, svg: bool = True, runs: bool = True) -> None:
+        """--config, --out, and --svg/--no-svg and --seed/--workers where read."""
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, help="master seed (overrides the config)")
-        svg = p.add_mutually_exclusive_group()
-        svg.add_argument("--svg", dest="svg", action="store_true", default=None)
-        svg.add_argument("--no-svg", dest="svg", action="store_false", default=None)
+        if runs:
+            p.add_argument("--seed", type=int, help="master seed (overrides the config)")
+            p.add_argument("--workers", type=int, help=WORKERS_HELP)
+        if svg:
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--svg", dest="svg", action="store_true", default=None)
+            group.add_argument("--no-svg", dest="svg", action="store_false", default=None)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo simulation per policy")
     add_common(p_sim)
-    p_sim.add_argument("--workers", type=int, help=WORKERS_HELP)
     p_sim.add_argument(
         "--traces", type=int, default=0,
         help="also write the first N per-run trace CSVs per policy",
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ana = sub.add_parser("analytic", help="closed-form curves per policy")
-    add_common(p_ana)
+    add_common(p_ana, runs=False)
     p_ana.set_defaults(func=cmd_analytic)
 
     p_opt = sub.add_parser("optimal-policy", help="budget-optimal schedule")
@@ -397,12 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="repeat simulate along one numeric axis")
     add_common(p_sweep)
     p_sweep.add_argument("--axis", required=True, help="dotted key, e.g. policy.exp.u or model.kappa2")
-    p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
-    p_sweep.add_argument("--workers", type=int, help=WORKERS_HELP)
+    p_sweep.add_argument("--values", required=True, help="comma-separated config values, naming points as typed")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="report worst sim-vs-analytic gap disagreement")
-    add_common(p_cmp)
+    add_common(p_cmp, svg=False, runs=False)
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

@@ -150,22 +150,20 @@ def _tokenize(text: str) -> tuple[dict[str, _Entry], dict[str, dict[str, _Entry]
     return top, sections, order
 
 
-# The value parsers take config text, and the numeric ones a sweep's
-# float too; each raises ValueError with the tail of its message.
-def _as_int(value: str | float) -> int:
+# The value parsers take config text; each raises ValueError with the
+# tail of its message.
+def _as_int(text: str) -> int:
     try:
-        if isinstance(value, str) or value.is_integer():
-            return int(value)
+        return int(text)
     except ValueError:
-        pass
-    raise ValueError(f"must be an integer, got {value!r}")
+        raise ValueError(f"must be an integer, got {text!r}") from None
 
 
-def _as_float(value: str | float) -> float:
+def _as_float(text: str) -> float:
     try:
-        v = float(value)
+        v = float(text)
     except ValueError:
-        raise ValueError(f"must be a number, got {value!r}") from None
+        raise ValueError(f"must be a number, got {text!r}") from None
     if not math.isfinite(v):
         raise ValueError("must be finite")
     return v
@@ -213,11 +211,11 @@ _KEY_PARSERS: dict[object, Callable] = {
 _NUMERIC = (int, int | None, float, float | None)
 
 
-def _parse(kind: object, value: str | float, where: str) -> object:
-    """``value`` parsed as ``kind``; ``where`` names the key and its
+def _parse(kind: object, text: str, where: str) -> object:
+    """``text`` parsed as ``kind``; ``where`` names the key and its
     source in the message of a rejected value."""
     try:
-        return _KEY_PARSERS[kind](value)
+        return _KEY_PARSERS[kind](text)
     except ValueError as exc:
         raise ConfigError(f"{where} {exc}") from None
 
@@ -389,24 +387,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _axis_value(axis: str, kind: object, key: str, value: float) -> int | float:
+def _axis_value(axis: str, kind: object, key: str, text: str) -> int | float:
     if kind not in _NUMERIC:
         raise ConfigError(f"axis {axis!r} does not name a numeric config key")
-    return _parse(kind, float(value), f"axis {axis!r}: {key}")
+    return _parse(kind, text, f"axis {axis!r}: {key}")
 
 
-def apply_override(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    """Return a copy of ``cfg`` with one numeric key replaced.
+def apply_override(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentConfig:
+    """Return a copy of ``cfg`` with one numeric key set from ``text``.
 
     ``axis`` is a dotted path: ``model.sigma2``, ``run.T``, ``cost.c_g``,
     ``output.eval_samples`` or ``policy.<label>.<key>``. Only numeric
-    keys can be swept, and a value gets the checks that the same value
-    of the key gets in the config file.
+    keys can be swept. ``text`` is parsed and checked as the same text
+    of the key is on a config line, so an integer key takes ``20`` but
+    not ``20.0`` or ``2e1``, and stays exact at any size.
     """
     parts = axis.split(".")
     if len(parts) == 2:
         f, kind = _KEYS.get((parts[0], parts[1]), (None, None))
-        new = _axis_value(axis, kind, parts[1], value)
+        new = _axis_value(axis, kind, parts[1], text)
         swept = replace(cfg, **{f.name: new})
     elif len(parts) == 3 and parts[0] == "policy":
         _, label, key = parts
@@ -414,7 +413,7 @@ def apply_override(cfg: ExperimentConfig, axis: str, value: float) -> Experiment
         if p is None:
             raise ConfigError(f"axis {axis!r}: no policy labeled {label!r}")
         kind = pol.spec_fields(type(p.spec)).get(key, (None, False))[0]
-        new = _axis_value(axis, kind, key, value)
+        new = _axis_value(axis, kind, key, text)
         try:
             spec = replace(p.spec, **{key: new})
         except ValueError as exc:

@@ -309,6 +309,17 @@ def test_clamped_schedules_are_reported(tmp_path, capsys, command, kind):
     assert [r.n_t for r in read_agg_csv(out / f"tiny_{kind}.csv")] == [1] * 5
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("analytic", "--seed=1"), ("compare", "--seed=1"), ("compare", "--svg"), ("compare", "--no-svg")]
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(small_cfg, tmp_path, capsys, command, flag):
+    # analytic draws no random numbers; compare only reads written CSVs.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *out_args(small_cfg, tmp_path), flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestAnalytic:
     def test_emits_shared_schema_and_law_detail(self, small_cfg, tmp_path, capsys):
         assert main(["analytic", *out_args(small_cfg, tmp_path)]) == 0
@@ -533,7 +544,8 @@ class TestSweep:
         )
         assert code == 0
         out = tmp_path / "out"
-        for v in ("0.25", "0.5", "1"):
+        # Each point is named by its token as typed.
+        for v in ("0.25", "0.5", "1.0"):
             assert (out / f"sweep_policy_exp_u_{v}" / "exp_agg.csv").exists()
         summary = (out / "sweep_summary.csv").read_text().splitlines()
         assert summary[0] == "axis,value,policy_label,final_T,mean_gap,se_gap"
@@ -593,7 +605,7 @@ class TestSweep:
         assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 2
         assert "all Monte Carlo runs failed" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
-        assert not (tmp_path / "out" / "sweep_run_divergence_cap_1e+06").exists()
+        assert not (tmp_path / "out" / "sweep_run_divergence_cap_1e6").exists()
 
     def test_constant_floor_scaling_visible(self, tmp_path):
         # Larger constant batches push the final gap monotonically down.
@@ -652,8 +664,8 @@ class TestSweep:
         assert "numeric" in capsys.readouterr().err
 
     def test_values_with_one_name_rejected(self, small_cfg, tmp_path, capsys):
-        # Both values format as "2", which names the point directory.
-        args = ["--axis", "model.kappa2", "--values", "2.0000001,2.0000002"]
+        # A token names its point directory, so it may not repeat.
+        args = ["--axis", "model.kappa2", "--values", "2,2"]
         assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
         assert "repeat a point name" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -713,5 +725,56 @@ class TestSweep:
     def test_non_numeric_value_is_validation_error(self, small_cfg, tmp_path, capsys):
         args = ["--axis", "policy.exp.u", "--values", "1,x"]
         assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
-        assert capsys.readouterr().err == "error: --values '1,x': 'x' is not a number\n"
+        assert capsys.readouterr().err == "error: --values '1,x': axis 'policy.exp.u': u must be a number, got 'x'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_axis_names_points_by_the_seeds(self, small_cfg, tmp_path, capsys):
+        # Formatted as floats, both seeds would name the point 2.02508e+07.
+        seeds = ["20250810", "20250811"]
+        args = ["--axis", "run.master_seed", "--values", ",".join(seeds)]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["values"] == seeds and list(summary["status"]) == seeds
+        out = tmp_path / "out"
+        rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [seeds[0]] * 2 + [seeds[1]] * 2
+        first, second = (out / f"sweep_run_master_seed_{seed}" / "exp_agg.csv" for seed in seeds)
+        assert first.read_bytes() != second.read_bytes()
+
+    def test_seed_above_two_to_the_53_runs_exactly(self, small_cfg, tmp_path):
+        # A float rounds 2**53 + 1 to 2**53.
+        seed = 2**53 + 1
+        args = ["--axis", "run.master_seed", "--values", str(seed)]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 0
+        for s in (seed, seed - 1):
+            sim = ["simulate", "--config", str(small_cfg), "--out", str(tmp_path / str(s)), "--seed", str(s)]
+            assert main(sim) == 0
+        point = tmp_path / "out" / f"sweep_run_master_seed_{seed}"
+        for label in ("exp", "const"):
+            swept = (point / f"{label}_agg.csv").read_bytes()
+            assert swept == (tmp_path / str(seed) / f"{label}_agg.csv").read_bytes()
+            assert swept != (tmp_path / str(seed - 1) / f"{label}_agg.csv").read_bytes()
+
+    def test_floats_apart_past_six_digits_are_two_points(self, small_cfg, tmp_path, capsys):
+        values = ["2.0000001", "2.0000002"]
+        args = ["--axis", "model.kappa2", "--values", ",".join(values)]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 0
+        assert list(json.loads(capsys.readouterr().out)["status"]) == values
+        for v in values:
+            assert (tmp_path / "out" / f"sweep_model_kappa2_{v}" / "exp_agg.csv").exists()
+
+    # Read as a float, 1e3 on run.T would start a 1000-iteration run.
+    @pytest.mark.parametrize("section, key, text", [("run", "T", "2.0"), ("output", "eval_samples", "1e3")])
+    def test_integer_axis_rejects_what_a_config_line_rejects(self, small_cfg, tmp_path, capsys, section, key, text):
+        lines = [line for line in SMALL.splitlines() if not line.startswith(f"{key} = ")]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {text}")
+        path = tmp_path / "integer.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        line = lines.index(f"{key} = {text}") + 1
+        message = f"{key} must be an integer, got '{text}'\n"
+        assert capsys.readouterr().err == f"error: line {line}: {message}"
+        args = ["--axis", f"{section}.{key}", "--values", text]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
+        assert capsys.readouterr().err == f"error: --values '{text}': axis '{section}.{key}': {message}"
         assert not (tmp_path / "out").exists()

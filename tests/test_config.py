@@ -1,6 +1,5 @@
 """Config parsing, validation errors with line numbers, overrides."""
 
-import math
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -340,64 +339,64 @@ class TestLoad(object):
 
 class TestOverride:
     def test_model_key(self):
-        cfg = apply_override(parse_config(TOY), "model.kappa2", 4.0)
+        cfg = apply_override(parse_config(TOY), "model.kappa2", "4.0")
         assert cfg.kappa2 == 4.0
 
     def test_run_key_is_integer(self):
-        cfg = apply_override(parse_config(TOY), "run.T", 10.0)
+        cfg = apply_override(parse_config(TOY), "run.T", "10")
         assert cfg.T == 10 and isinstance(cfg.T, int)
 
     def test_policy_key(self):
-        cfg = apply_override(parse_config(TOY), "policy.exp.u", 1.0)
+        cfg = apply_override(parse_config(TOY), "policy.exp.u", "1.0")
         assert cfg.policies[0].spec.u == 1.0
         sched = build_schedule(cfg.policies[0], 3)
         assert sched.n == (10, 20, 40)
 
     def test_policy_int_key_stays_int(self):
-        cfg = apply_override(parse_config(TOY), "policy.exp.n0", 20.0)
+        cfg = apply_override(parse_config(TOY), "policy.exp.n0", "20")
         assert cfg.policies[0].spec.n0 == 20
         assert isinstance(cfg.policies[0].spec.n0, int)
 
-    @pytest.mark.parametrize("axis, value", [("run.T", 2.7), ("policy.exp.n0", 10.9)])
+    @pytest.mark.parametrize("axis, value", [("run.T", "2.7"), ("policy.exp.n0", "10.9")])
     def test_integer_key_rejects_fraction(self, axis, value):
         with pytest.raises(ConfigError, match="integer"):
             apply_override(parse_config(TOY), axis, value)
 
     @pytest.mark.parametrize(
         "value, policy, message",
-        [(1.0, "linear", "needs T >= 2"), (2000.0, "exp", "overflow a float at horizon T=2000")],
+        [("1", "linear", "needs T >= 2"), ("2000", "exp", "overflow a float at horizon T=2000")],
     )
     def test_horizon_the_policy_cannot_fill_names_axis(self, value, policy, message):
         with pytest.raises(ConfigError, match=f"axis 'run.T': policy '{policy}': .*{message}"):
             apply_override(parse_config(TOY), "run.T", value)
 
-    @pytest.mark.parametrize("value", [-1.0, 2.0**64])
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
     def test_seed_axis_outside_64_bits_rejected(self, value):
         with pytest.raises(ConfigError, match=r"^axis 'run.master_seed': master_seed must be an integer in \[0, 2\*\*64\)"):
             apply_override(parse_config(TOY), "run.master_seed", value)
 
     def test_non_numeric_axis_rejected(self):
         with pytest.raises(ConfigError, match="numeric"):
-            apply_override(parse_config(TOY), "output.directory", 3.0)
+            apply_override(parse_config(TOY), "output.directory", "3")
 
     def test_unknown_label(self):
         with pytest.raises(ConfigError, match="no policy labeled"):
-            apply_override(parse_config(TOY), "policy.nope.u", 3.0)
+            apply_override(parse_config(TOY), "policy.nope.u", "3")
 
     def test_malformed_axis(self):
         with pytest.raises(ConfigError, match="section.key"):
-            apply_override(parse_config(TOY), "u", 3.0)
+            apply_override(parse_config(TOY), "u", "3")
 
     @pytest.mark.parametrize(
         "axis, value",
         [
-            ("cost.c_g", math.nan),
-            ("cost.c_g", math.inf),
-            ("cost.c_g", -math.inf),
-            ("cost.c_t", math.nan),
-            ("run.divergence_cap", math.nan),
-            ("run.eta", math.nan),
-            ("model.kappa2", math.nan),
+            ("cost.c_g", "nan"),
+            ("cost.c_g", "inf"),
+            ("cost.c_g", "-inf"),
+            ("cost.c_t", "nan"),
+            ("run.divergence_cap", "nan"),
+            ("run.eta", "nan"),
+            ("model.kappa2", "nan"),
         ],
     )
     def test_non_finite_value_rejected(self, axis, value):
@@ -426,7 +425,7 @@ POLICY_NUMERIC_FIELDS = [
     for f in fields(spec_cls)
     if get_type_hints(spec_cls)[f.name] in (int, float)
 ]
-PARITY_VALUES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 2.7, 3.0]
+PARITY_VALUES = ["nan", "inf", "-inf", "0", "-1", "0.5", "2.7", "3", "2.0", "1e3"]
 
 
 def test_schema_declares_every_key():
@@ -464,24 +463,28 @@ def _parity_sections(family="exponential"):
     }
 
 
-def _rejects(fn):
+def _rejection(fn):
+    """The message of the ConfigError ``fn`` raises without its source
+    ("line N: " or "axis 'A': "), or None if it raises none."""
     try:
         fn()
-    except ConfigError:
-        return True
-    return False
+    except ConfigError as exc:
+        return str(exc).split(": ", 1)[1]
+    return None
 
 
 def _assert_parity(sections, section, key, axis):
+    # The same text on a config line and as a swept value: both accepted,
+    # or both rejected with the same message.
     base = parse_config(_parity_config(sections))
     differ = []
-    for value in PARITY_VALUES:
-        sections[section][key] = f"{value:g}"
-        in_file = _rejects(lambda: parse_config(_parity_config(sections)))
-        in_sweep = _rejects(lambda: apply_override(base, axis, value))
+    for text in PARITY_VALUES:
+        sections[section][key] = text
+        in_file = _rejection(lambda: parse_config(_parity_config(sections)))
+        in_sweep = _rejection(lambda: apply_override(base, axis, text))
         if in_file != in_sweep:
-            differ.append((value, in_file, in_sweep))
-    assert differ == [], "(value, file rejects, sweep rejects)"
+            differ.append((text, in_file, in_sweep))
+    assert differ == [], "(text, file's message, sweep's message)"
 
 
 @pytest.mark.parametrize("axis", NUMERIC_AXES)
