@@ -34,13 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, engine
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    apply_override,
-    build_schedule,
-    load_config,
-)
+from .config import ConfigError, ExperimentConfig, apply_override, load_config, split_list
 from .csvio import (
     aggregate_rows,
     analytic_rows,
@@ -52,6 +46,7 @@ from .csvio import (
     write_agg_csv,
     write_text_atomic,
 )
+from .policy import materialize
 from .svgplot import Series, render_gap_vs_cost
 
 __all__ = ["main"]
@@ -172,7 +167,7 @@ def _simulate_into(
     policies correlate at -0.03 to 0.01, and pairing them leaves the SE
     of a gap difference within 1 % of the unpaired one."""
     jobs = [
-        (_run_config(cfg, build_schedule(p, cfg.T)), cfg.runs) for cfg, _ in points for p in cfg.policies
+        (_run_config(cfg, materialize(p.spec, cfg.T)), cfg.runs) for cfg, _ in points for p in cfg.policies
     ]
     results = []
     # Closing the generator on an error cancels the blocks still queued.
@@ -195,7 +190,7 @@ def _status(cfg: ExperimentConfig, aggs: dict[str, engine.MonteCarloTrace]) -> d
     """What went wrong in each policy's runs of one point, by policy
     label: its completed, diverged and draw-capped run counts, its
     clipped rewards, and whether its schedule was clamped."""
-    clamped = {p.label: build_schedule(p, cfg.T).clamped for p in cfg.policies}
+    clamped = {p.label: materialize(p.spec, cfg.T).clamped for p in cfg.policies}
     return {
         label: {
             "completed": agg.runs_completed,
@@ -225,7 +220,7 @@ def cmd_analytic(args: argparse.Namespace) -> str:
     series = []
     clamped = {}
     for p in cfg.policies:
-        schedule = build_schedule(p, cfg.T)
+        schedule = materialize(p.spec, cfg.T)
         clamped[p.label] = schedule.clamped
         try:
             ev = analytic.cost_curve(schedule, cfg.theta0, cfg.sigma2, cfg.kappa2, cost)
@@ -275,15 +270,13 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     workers = _check_counts(args)
     cfg = _load(args)
     # Each token is config text for the axis key and names its point as typed.
-    names = [tok.strip() for tok in args.values.split(",") if tok.strip()]
-    if not names:
-        raise ConfigError("sweep needs a non-empty --values list")
+    try:
+        names = split_list(args.values)
+        swept = [apply_override(cfg, args.axis, name) for name in names]
+    except ValueError as exc:
+        raise ConfigError(f"--values {args.values!r}: {exc}") from None
     if len(set(names)) != len(names):
         raise ConfigError(f"--values {args.values!r} repeat a point name: {names}")
-    try:
-        swept = [apply_override(cfg, args.axis, name) for name in names]
-    except ConfigError as exc:
-        raise ConfigError(f"--values {args.values!r}: {exc}") from None
     base = Path(cfg.out_dir)
     axis_slug = args.axis.replace(".", "_")
     points = [(sub_cfg, base / f"sweep_{axis_slug}_{name}") for sub_cfg, name in zip(swept, names)]

@@ -50,6 +50,7 @@ import numpy as np
 
 from . import policy as pol
 from .engine import check_seed
+from .gaussian import check_theta
 
 __all__ = [
     "ConfigError",
@@ -59,6 +60,7 @@ __all__ = [
     "parse_config",
     "build_schedule",
     "apply_override",
+    "split_list",
 ]
 
 
@@ -178,21 +180,26 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"must be true/false, got {text!r}")
 
 
+def split_list(text: str) -> list[str]:
+    """The stripped entries of comma-separated ``text``, none of them empty."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if "" in tokens:
+        raise ValueError("entries must be non-empty")
+    return tokens
+
+
 def _as_vector(text: str) -> np.ndarray:
+    tokens = split_list(text)
     try:
-        v = np.array([float(tok) for tok in text.split(",") if tok.strip()], dtype=np.float64)
+        return np.array([float(tok) for tok in tokens], dtype=np.float64)
     except ValueError:
         raise ValueError("must be comma-separated numbers") from None
-    if not np.isfinite(v).all():
-        raise ValueError("must be finite")
-    if v.size == 0:
-        raise ValueError("must not be empty")
-    return v
 
 
 def _as_int_tuple(text: str) -> tuple[int, ...]:
+    tokens = split_list(text)
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in tokens)
     except ValueError:
         raise ValueError("must be comma-separated integers") from None
 
@@ -300,35 +307,36 @@ def _check_values(cfg: ExperimentConfig, where: Callable[[str | PolicyConfig], s
     file, or a sweep's override. ``where(key)`` names the source of a
     rejected field or policy, as a message prefix. Every policy is
     materialized, so horizon problems surface here, not at run time."""
-    if cfg.sigma2 <= 0:
-        raise ConfigError(f"{where('sigma2')}sigma2 must be positive")
-    if cfg.kappa2 <= 0:
-        raise ConfigError(f"{where('kappa2')}kappa2 must be positive")
-    if cfg.T < 1:
-        raise ConfigError(f"{where('T')}T must be >= 1")
-    if cfg.eta is not None and cfg.eta <= 0:
-        raise ConfigError(f"{where('eta')}eta must be positive")
+    for name, check in (
+        ("theta0", check_theta),
+        ("sigma2", pol.check_positive),
+        ("kappa2", pol.check_positive),
+        ("T", pol.check_positive_int),
+        ("eta", pol.check_positive),
+        ("master_seed", check_seed),
+        ("eval_samples", pol.check_positive_int),
+    ):
+        value = getattr(cfg, name)
+        try:
+            if value is not None:  # eta unset
+                check(name, value)
+        except ValueError as exc:
+            raise ConfigError(f"{where(name)}{exc}") from None
     if cfg.runs < 2:
         raise ConfigError(
             f"{where('runs')}runs must be >= 2 (standard errors need at least two completed runs)"
         )
-    try:
-        check_seed("master_seed", cfg.master_seed)
-    except ValueError as exc:
-        raise ConfigError(f"{where('master_seed')}{exc}") from None
     try:
         pol.CostModel(cfg.c_g, cfg.c_t)
     except ValueError as exc:
         raise ConfigError(f"{where('c_g' if cfg.c_g < 0 else 'c_t')}{exc}") from None
     if cfg.divergence_cap <= 0:
         raise ConfigError(f"{where('divergence_cap')}divergence_cap must be positive")
-    if cfg.eval_samples < 1:
-        raise ConfigError(f"{where('eval_samples')}eval_samples must be >= 1")
     for p in cfg.policies:
         try:
-            largest = max(build_schedule(p, cfg.T).n)
-        except ConfigError as exc:
-            raise ConfigError(f"{where(p)}{exc}") from None
+            largest = max(pol.materialize(p.spec, cfg.T).n)
+        except ValueError as exc:
+            raise ConfigError(f"{where(p)}policy {p.label!r}: {exc}") from None
         if cfg.max_draws_per_iter is not None and cfg.max_draws_per_iter < largest:
             raise ConfigError(
                 f"{where('max_draws_per_iter')}max_draws_per_iter={cfg.max_draws_per_iter} "
@@ -371,11 +379,8 @@ def _parse_policy(label: str, entries: dict[str, _Entry], lineno: int) -> Policy
 
 
 def build_schedule(p: PolicyConfig, T: int) -> pol.Schedule:
-    """Materialize a configured policy for horizon T."""
-    try:
-        return pol.materialize(p.spec, T)
-    except ValueError as exc:
-        raise ConfigError(f"policy {p.label!r}: {exc}") from exc
+    """``policy.materialize(p.spec, T)``, for perfbench's set-up probe."""
+    return pol.materialize(p.spec, T)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

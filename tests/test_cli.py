@@ -654,6 +654,13 @@ class TestSweep:
         )
         assert "non-empty" in capsys.readouterr().err
 
+    def test_empty_entry_in_values_rejected(self, small_cfg, tmp_path, capsys):
+        # The empty entry used to be dropped, and 2,,4 ran two points.
+        args = ["--axis", "model.kappa2", "--values", "2,,4"]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 1
+        assert "--values '2,,4': entries must be non-empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_axis_rejected(self, small_cfg, tmp_path, capsys):
         assert (
             main(
@@ -673,7 +680,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "axis, value, message",
         [
-            ("output.eval_samples", "0", "eval_samples must be >= 1"),
+            ("output.eval_samples", "0", "eval_samples must be an integer >= 1, got 0"),
             ("run.divergence_cap", "-1", "divergence_cap must be positive"),
             ("run.max_draws_per_iter", "3", "max_draws_per_iter=3 is below the largest n_t"),
             ("cost.c_g", "0.5,-1", "cost coefficients must be non-negative"),

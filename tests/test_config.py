@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterboot import policy as pol
+from iterboot.engine import check_seed
+from iterboot.gaussian import check_theta
 
 from iterboot.config import (
     ConfigError,
     ExperimentConfig,
     apply_override,
-    build_schedule,
     load_config,
     parse_config,
 )
@@ -72,7 +73,7 @@ class TestParse:
 
     def test_schedules_materialize(self):
         cfg = parse_config(TOY)
-        by_label = {p.label: build_schedule(p, cfg.T) for p in cfg.policies}
+        by_label = {p.label: pol.materialize(p.spec, cfg.T) for p in cfg.policies}
         assert by_label["exp"].n[:3] == (10, 15, 22)
         assert set(by_label["const"].n) == {582}
         assert by_label["linear"].n[0] == 83
@@ -84,7 +85,7 @@ class TestParse:
     def test_explicit_family(self):
         text = TOY.replace("family = exponential\nn0 = 10\nu = 0.5", "family = explicit\nschedule = 4, 5, 6")
         cfg = parse_config(text.replace("T = 15", "T = 3"))
-        assert build_schedule(cfg.policies[0], cfg.T).n == (4, 5, 6)
+        assert pol.materialize(cfg.policies[0].spec, cfg.T).n == (4, 5, 6)
 
 
 class TestValidation:
@@ -159,13 +160,13 @@ class TestValidation:
     def test_non_positive_eta_names_line(self):
         text = TOY.replace("master_seed = 20240817\n", "master_seed = 20240817\nupdate = gd\neta = -0.5\n")
         line = text.splitlines().index("eta = -0.5") + 1
-        with pytest.raises(ConfigError, match=f"line {line}: eta must be positive"):
+        with pytest.raises(ConfigError, match=f"line {line}: eta must be a positive finite real, got -0.5"):
             parse_config(text)
 
     @pytest.mark.parametrize(
         "section_line, line, message",
         [
-            ("[output]", "eval_samples = 0", "eval_samples must be >= 1"),
+            ("[output]", "eval_samples = 0", "eval_samples must be an integer >= 1, got 0"),
             ("[run]", "divergence_cap = -1", "divergence_cap must be positive"),
             (
                 "[run]",
@@ -269,7 +270,7 @@ PARSE_ERRORS = {
         "theta0 must be comma-separated numbers",
     ),
     "empty_vector": (
-        lambda t: t.replace("theta0 = 1.0, 1.0", "theta0 = ,"), "theta0 = ,", "theta0 must not be empty"
+        lambda t: t.replace("theta0 = 1.0, 1.0", "theta0 = ,"), "theta0 = ,", "theta0 entries must be non-empty"
     ),
     "integer_list": (
         lambda t: t.replace("family = exponential\nn0 = 10\nu = 0.5", "family = explicit\nschedule = 1, x"),
@@ -297,6 +298,20 @@ PARSE_ERRORS = {
         lambda t: t.replace("family = budget_constant\n", ""),
         "[policy const]",
         "policy 'const' is missing the 'family' key",
+    ),
+    # Empty list entries used to be dropped: this theta0 read as (1, 1),
+    # and this schedule as (4, 5, 6).
+    "vector_empty_entry": (
+        lambda t: t.replace("d = 2\n", "").replace("theta0 = 1.0, 1.0", "theta0 = 1.0,,1.0,"),
+        "theta0 = 1.0,,1.0,",
+        "theta0 entries must be non-empty",
+    ),
+    "integer_list_empty_entry": (
+        lambda t: t.replace("T = 15", "T = 3").replace(
+            "family = exponential\nn0 = 10\nu = 0.5", "family = explicit\nschedule = 4,,5,6"
+        ),
+        "schedule = 4,,5,6",
+        "schedule entries must be non-empty",
     ),
 }
 
@@ -334,7 +349,7 @@ class TestLoad(object):
         cfg = load_config(path)
         assert cfg.policies
         for p in cfg.policies:
-            assert len(build_schedule(p, cfg.T).n) == cfg.T
+            assert len(pol.materialize(p.spec, cfg.T).n) == cfg.T
 
 
 class TestOverride:
@@ -349,7 +364,7 @@ class TestOverride:
     def test_policy_key(self):
         cfg = apply_override(parse_config(TOY), "policy.exp.u", "1.0")
         assert cfg.policies[0].spec.u == 1.0
-        sched = build_schedule(cfg.policies[0], 3)
+        sched = pol.materialize(cfg.policies[0].spec, 3)
         assert sched.n == (10, 20, 40)
 
     def test_policy_int_key_stays_int(self):
@@ -402,6 +417,83 @@ class TestOverride:
     def test_non_finite_value_rejected(self, axis, value):
         with pytest.raises(ConfigError, match=rf"axis '{axis}': \w+ must be finite"):
             apply_override(parse_config(TOY), axis, value)
+
+
+PARITY = """\
+spec_version = 1
+
+[model]
+sigma2 = 1.0
+kappa2 = 2.0
+theta0 = 1.0, 1.0
+
+[policy c]
+family = constant
+n0 = 3
+
+[run]
+T = 4
+runs = 2
+master_seed = 1
+update = gd
+eta = 0.5
+
+[cost]
+c_g = 0.0
+c_t = 1.0
+
+[output]
+eval_samples = 10
+"""
+
+_REALS = ["0", "-0.0", "-1", "-1e300", "5e-324", "1e-300", "1", "1e300"]
+_INTS = ["0", "-1", str(-(2**64)), "1", "2", str(2**64 - 1), str(2**64), str(10**30)]
+# Each field the config reads through a library checker: its section,
+# the checker, the value a config line's text holds, and the texts to
+# try. Only theta0's parser lets non-finite values through. T's largest
+# is 10**5, since every policy is materialized at T.
+CHECKED_FIELDS = {
+    "theta0": (
+        "model",
+        check_theta,
+        lambda text: np.array([float(tok) for tok in text.split(",")]),
+        _REALS + ["inf", "-inf", "nan", "1.0, nan", "-1.0, inf", "1e-300, 1e300"],
+    ),
+    "sigma2": ("model", pol.check_positive, float, _REALS),
+    "kappa2": ("model", pol.check_positive, float, _REALS),
+    "T": ("run", pol.check_positive_int, int, ["0", "-1", str(-(2**64)), "1", "2", str(10**5)]),
+    "eta": ("run", pol.check_positive, float, _REALS),
+    "master_seed": ("run", check_seed, int, _INTS),
+    "eval_samples": ("output", pol.check_positive_int, int, _INTS),
+}
+
+
+@pytest.mark.parametrize(
+    "name, text", [(name, text) for name, (*_, texts) in CHECKED_FIELDS.items() for text in texts]
+)
+def test_config_checks_agree_with_the_library_checkers(name, text):
+    # A value on a config line, or swept, is rejected exactly when the
+    # library's checker rejects it, with the checker's message after the
+    # line or axis.
+    section, check, value_of, _ = CHECKED_FIELDS[name]
+    try:
+        check(name, value_of(text))
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    old = next(line for line in PARITY.splitlines() if line.startswith(f"{name} ="))
+    config = PARITY.replace(old, f"{name} = {text}")
+    cases = [(lambda: parse_config(config), f"line {config.splitlines().index(f'{name} = {text}') + 1}: ")]
+    if name != "theta0":  # not a numeric key, so not a sweep axis
+        axis = f"{section}.{name}"
+        cases.append((lambda: apply_override(parse_config(PARITY), axis, text), f"axis {axis!r}: "))
+    for parse, where in cases:
+        if expected is None:
+            assert np.array_equal(getattr(parse(), name), value_of(text))
+        else:
+            with pytest.raises(ConfigError) as err:
+                parse()
+            assert str(err.value) == where + expected
 
 
 # Every numeric key of the config sections, as a sweep axis; the
@@ -551,7 +643,7 @@ def test_every_family_parses_to_its_spec(data, family, T):
     }
     lines = [f"{key} = {_render(value)}" for key, value in params.items()]
     cfg = parse_config(_one_policy_config(family, lines, T))
-    assert build_schedule(cfg.policies[0], T) == pol.materialize(spec_cls(**params), T)
+    assert pol.materialize(cfg.policies[0].spec, T) == pol.materialize(spec_cls(**params), T)
     for f in fields(spec_cls):
         if f.default is MISSING:
             kept = [line for line in lines if not line.startswith(f"{f.name} =")]
