@@ -54,7 +54,9 @@ class MarginalLaw:
 
 @dataclass(frozen=True, eq=False)
 class PolicyEvaluation:
-    """Analytic curves over schedule prefixes T = 1..len(schedule).
+    """Analytic curves over the prefixes T = 1..len(schedule.n) of
+    ``schedule``, the :class:`Schedule` that :func:`cost_curve` built
+    from its argument; entry T-1 of each curve is prefix T's.
 
     ``reward`` is the expected final reward E[r(theta^(T))], ``gap`` is
     r* minus that, ``cum_cost`` the expected cumulative cost, and
@@ -63,14 +65,13 @@ class PolicyEvaluation:
     ``sigma2_T`` carry the marginal-law trajectory.
     """
 
-    T: np.ndarray
+    schedule: Schedule
     reward: np.ndarray
     gap: np.ndarray
     cum_cost: np.ndarray
     mean_N: np.ndarray
     mu: np.ndarray
     sigma2_T: np.ndarray
-    n: tuple[int, ...]
     r_star: float
 
 
@@ -276,7 +277,7 @@ def cost_curve(
     a theta0 that ``check_theta`` rejects, or sigma2, kappa2 not positive
     finite, and one naming the iteration T at which E[1/r] overflows.
     """
-    ns = (schedule if isinstance(schedule, Schedule) else Schedule(tuple(schedule))).n
+    schedule = schedule if isinstance(schedule, Schedule) else Schedule(tuple(schedule))
     theta0 = check_theta("theta0", theta0)
     if n_t_expectation not in ("ratio", "quadrature"):
         raise ValueError(f"unknown n_t_expectation {n_t_expectation!r}")
@@ -284,7 +285,7 @@ def cost_curve(
     d = theta0.size
     r_star = optimal_reward(d, sigma2, kappa2)
     # Row t holds the law of theta^(t), row 0 the point mass at theta0.
-    rows = [(theta0, 0.0), *law.trajectory(theta0, ns)]
+    rows = [(theta0, 0.0), *law.trajectory(theta0, schedule.n)]
     mus = np.array([mu for mu, _ in rows])
     sig2s = np.array([var for _, var in rows])
     rewards = np.array([_reward(mu, var, d, sigma2, kappa2) for mu, var in rows[1:]])
@@ -301,18 +302,17 @@ def cost_curve(
             f"expected draws per accepted sample are infinite at T={t + 1}: "
             f"||mu||^2 = {norm2[t]:.6g}, parameter variance {sig2s[t]:.6g}"
         )
-    counts = np.array(ns, dtype=float)
+    counts = np.array(schedule.n, dtype=float)
     mean_N = counts * inv_r
 
     return PolicyEvaluation(
-        T=np.arange(1, len(ns) + 1),
+        schedule=schedule,
         reward=rewards,
         gap=r_star - rewards,
         cum_cost=np.cumsum(cost.bill(mean_N, counts)),
         mean_N=mean_N,
         mu=mus[1:],
         sigma2_T=sig2s[1:],
-        n=ns,
         r_star=r_star,
     )
 
@@ -326,4 +326,4 @@ def t_star(evaluation: PolicyEvaluation, eps: float) -> int | None:
     hits = np.flatnonzero(evaluation.gap <= eps)
     if hits.size == 0:
         return None
-    return int(evaluation.T[hits[0]])
+    return int(hits[0]) + 1

@@ -163,12 +163,9 @@ def _as_int(text: str) -> int:
 
 def _as_float(text: str) -> float:
     try:
-        v = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"must be a number, got {text!r}") from None
-    if not math.isfinite(v):
-        raise ValueError("must be finite")
-    return v
 
 
 def _as_bool(text: str) -> bool:
@@ -329,9 +326,11 @@ def _check_values(cfg: ExperimentConfig, where: Callable[[str | PolicyConfig], s
     try:
         pol.CostModel(cfg.c_g, cfg.c_t)
     except ValueError as exc:
-        raise ConfigError(f"{where('c_g' if cfg.c_g < 0 else 'c_t')}{exc}") from None
-    if cfg.divergence_cap <= 0:
-        raise ConfigError(f"{where('divergence_cap')}divergence_cap must be positive")
+        raise ConfigError(f"{where('c_t' if 0 <= cfg.c_g < math.inf else 'c_g')}{exc}") from None
+    if not cfg.divergence_cap > 0:  # RunConfig's rule: nan included; inf means no cap
+        raise ConfigError(
+            f"{where('divergence_cap')}divergence_cap must be positive, got {cfg.divergence_cap!r}"
+        )
     for p in cfg.policies:
         try:
             largest = max(pol.materialize(p.spec, cfg.T).n)
@@ -402,18 +401,19 @@ def apply_override(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentCon
     """Return a copy of ``cfg`` with one numeric key set from ``text``.
 
     ``axis`` is a dotted path: ``model.sigma2``, ``run.T``, ``cost.c_g``,
-    ``output.eval_samples`` or ``policy.<label>.<key>``. Only numeric
-    keys can be swept. ``text`` is parsed and checked as the same text
-    of the key is on a config line, so an integer key takes ``20`` but
-    not ``20.0`` or ``2e1``, and stays exact at any size.
+    ``output.eval_samples`` or ``policy.<label>.<key>``, where the label
+    may contain dots and the key, which never does, follows the last
+    one. Only numeric keys can be swept. ``text`` is parsed and checked
+    as the same text of the key is on a config line, so an integer key
+    takes ``20`` but not ``20.0`` or ``2e1``, and stays exact at any size.
     """
-    parts = axis.split(".")
-    if len(parts) == 2:
-        f, kind = _KEYS.get((parts[0], parts[1]), (None, None))
-        new = _axis_value(axis, kind, parts[1], text)
+    section, dot, rest = axis.partition(".")
+    if dot and "." not in rest:
+        f, kind = _KEYS.get((section, rest), (None, None))
+        new = _axis_value(axis, kind, rest, text)
         swept = replace(cfg, **{f.name: new})
-    elif len(parts) == 3 and parts[0] == "policy":
-        _, label, key = parts
+    elif section == "policy" and "." in rest:
+        label, _, key = rest.rpartition(".")
         p = next((p for p in cfg.policies if p.label == label), None)
         if p is None:
             raise ConfigError(f"axis {axis!r}: no policy labeled {label!r}")

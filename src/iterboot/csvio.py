@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -86,18 +86,19 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_rows(label, source, T, n, mean_N, gap, se_gap, cum_cost, se_cum_cost, runs=(0, 0)):
-    """One AggRow per T from per-T columns, in AggRow's order."""
+def _curve_rows(label, source, n, mean_N, gap, se_gap, cum_cost, se_cum_cost, runs=(0, 0)):
+    """One AggRow per T = 1, 2, ... from a schedule's counts ``n`` and
+    per-T columns, in AggRow's order."""
     return [
-        AggRow(label, source, int(t), int(n_t), *map(float, per_T), *runs)
-        for t, n_t, *per_T in zip(T, n, mean_N, gap, se_gap, cum_cost, se_cum_cost)
+        AggRow(label, source, t, n_t, *map(float, per_T), *runs)
+        for t, (n_t, *per_T) in enumerate(zip(n, mean_N, gap, se_gap, cum_cost, se_cum_cost), start=1)
     ]
 
 
 def aggregate_rows(label: str, agg: MonteCarloTrace) -> list[AggRow]:
     """Rows for a simulation aggregate, T ascending."""
     return _curve_rows(
-        label, "sim", agg.T, agg.n, agg.mean_N, agg.mean_gap, agg.se_gap,
+        label, "sim", agg.schedule.n, agg.mean_N, agg.mean_gap, agg.se_gap,
         agg.mean_cum_cost, agg.se_cum_cost, (agg.runs_completed, agg.runs_diverged),
     )
 
@@ -106,7 +107,7 @@ def analytic_rows(label: str, ev: PolicyEvaluation) -> list[AggRow]:
     """Rows for an analytic curve in the same schema (SEs are zero,
     run counts are zero; the source column distinguishes them)."""
     return _curve_rows(
-        label, "analytic", ev.T, ev.n, ev.mean_N, ev.gap, repeat(0.0), ev.cum_cost, repeat(0.0)
+        label, "analytic", ev.schedule.n, ev.mean_N, ev.gap, repeat(0.0), ev.cum_cost, repeat(0.0)
     )
 
 
@@ -163,7 +164,7 @@ def read_agg_csv(path: str | Path) -> list[AggRow]:
 def law_csv_text(label: str, ev: PolicyEvaluation) -> str:
     """Detail file for analytic curves: the marginal-law trajectory, the
     mean as one quoted field of coordinates."""
-    rows = zip(repeat(label), ev.T, ev.mu, ev.sigma2_T, ev.reward, ev.gap)
+    rows = zip(repeat(label), count(1), ev.mu, ev.sigma2_T, ev.reward, ev.gap)
     return csv_text(("policy_label", "T", "mu", "sigma2_T", "reward", "gap"), rows)
 
 

@@ -188,18 +188,17 @@ class RunTrace:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloTrace:
-    """What :func:`monte_carlo` returns: per-iteration mean/standard-error
-    curves over completed runs, the run counts by status, the r* the gaps
-    are taken to, the rewards clipped to [0, 1] over all runs (diverged
-    and draw-capped ones included), and the full traces of the first runs
-    asked for."""
+    """What :func:`monte_carlo` returns: the schedule the job ran; per
+    iteration, entry T-1 for T = 1..len(schedule.n), the mean and
+    standard error over completed runs of the gap, cumulative cost and
+    draw count; the run counts by status; the r* the gaps are taken to,
+    so the mean reward is r_star - mean_gap, with SE se_gap; the rewards
+    clipped to [0, 1] over all runs (diverged and draw-capped ones
+    included); and the full traces of the first runs asked for."""
 
-    T: np.ndarray
-    n: tuple[int, ...]
+    schedule: Schedule
     mean_gap: np.ndarray
     se_gap: np.ndarray
-    mean_reward: np.ndarray
-    se_reward: np.ndarray
     mean_cum_cost: np.ndarray
     se_cum_cost: np.ndarray
     mean_N: np.ndarray
@@ -759,7 +758,6 @@ def _block_args(
 def _reduce(cfg: RunConfig, blocks: list[_Block], traces: int) -> MonteCarloTrace:
     """The aggregate of a job's blocks, taken in run-index order, with the
     traces of its first ``traces`` runs."""
-    T = len(cfg.schedule.n)
     status = [s for b in blocks for s in b.status]
     ok = np.array([s == COMPLETED for s in status])
     m = int(ok.sum())
@@ -780,12 +778,9 @@ def _reduce(cfg: RunConfig, blocks: list[_Block], traces: int) -> MonteCarloTrac
         return a.std(axis=0, ddof=1) / math.sqrt(m)
 
     return MonteCarloTrace(
-        T=np.arange(1, T + 1),
-        n=cfg.schedule.n,
+        schedule=cfg.schedule,
         mean_gap=gap.mean(axis=0),
         se_gap=_se(gap),
-        mean_reward=reward.mean(axis=0),
-        se_reward=_se(reward),
         mean_cum_cost=cost.mean(axis=0),
         se_cum_cost=_se(cost),
         mean_N=draws.mean(axis=0),

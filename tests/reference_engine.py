@@ -174,12 +174,9 @@ def monte_carlo(cfg: RunConfig, runs: int) -> MonteCarloTrace:
         return a.std(axis=0, ddof=1) / math.sqrt(m)
 
     return MonteCarloTrace(
-        T=np.arange(1, T + 1),
-        n=cfg.schedule.n,
+        schedule=cfg.schedule,
         mean_gap=gap.mean(axis=0),
         se_gap=_se(gap),
-        mean_reward=reward.mean(axis=0),
-        se_reward=_se(reward),
         mean_cum_cost=cost.mean(axis=0),
         se_cum_cost=_se(cost),
         mean_N=draws.mean(axis=0),

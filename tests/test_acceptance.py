@@ -230,8 +230,9 @@ def test_criterion_6_convergence_rate_probes():
     flattening log-gap for the constant schedule."""
     theta0 = np.array([1.0, 1.0])
     exp_ev = cost_curve(materialize(Exponential(10, 0.5), 20), theta0, SIGMA2, KAPPA2, TRAIN_ONLY)
-    mask = (exp_ev.T >= 3) & (exp_ev.T <= 20)
-    x = exp_ev.T[mask].astype(float)
+    T = np.arange(1, len(exp_ev.schedule.n) + 1)
+    mask = (T >= 3) & (T <= 20)
+    x = T[mask].astype(float)
     y = np.log(exp_ev.gap[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -239,8 +240,8 @@ def test_criterion_6_convergence_rate_probes():
 
     con_ev = cost_curve(Schedule((10,) * 20), theta0, SIGMA2, KAPPA2, TRAIN_ONLY)
     ly = np.log(con_ev.gap)
-    early = np.polyfit(con_ev.T[0:5].astype(float), ly[0:5], 1)[0]
-    late = np.polyfit(con_ev.T[14:20].astype(float), ly[14:20], 1)[0]
+    early = np.polyfit(T[0:5].astype(float), ly[0:5], 1)[0]
+    late = np.polyfit(T[14:20].astype(float), ly[14:20], 1)[0]
     check(
         "criterion 6: geometric-rate fit and constant-policy flattening",
         [

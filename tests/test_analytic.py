@@ -425,8 +425,9 @@ class TestRateProbes:
     def test_exponential_policy_log_gap_is_affine(self):
         sched = materialize(Exponential(10, 0.5), 20)
         ev = cost_curve(sched, np.array([1.0, 1.0]), 1.0, 2.0, TRAIN_ONLY)
-        mask = (ev.T >= 3) & (ev.T <= 20)
-        x = ev.T[mask].astype(float)
+        T = np.arange(1, len(ev.schedule.n) + 1)
+        mask = (T >= 3) & (T <= 20)
+        x = T[mask].astype(float)
         y = np.log(ev.gap[mask])
         slope, intercept = np.polyfit(x, y, 1)
         resid = y - (slope * x + intercept)
@@ -437,8 +438,9 @@ class TestRateProbes:
     def test_constant_policy_log_gap_flattens(self):
         ev = cost_curve(materialize(Constant(10), 20), np.array([1.0, 1.0]), 1.0, 2.0, TRAIN_ONLY)
         y = np.log(ev.gap)
-        early = np.polyfit(ev.T[0:5].astype(float), y[0:5], 1)[0]
-        late = np.polyfit(ev.T[14:20].astype(float), y[14:20], 1)[0]
+        T = np.arange(1, len(ev.schedule.n) + 1)
+        early = np.polyfit(T[0:5].astype(float), y[0:5], 1)[0]
+        late = np.polyfit(T[14:20].astype(float), y[14:20], 1)[0]
         assert abs(late) < 0.1 * abs(early)
 
 

@@ -599,6 +599,28 @@ class TestSweep:
             "policy.exp.u,3,const,5,0.032132068,0.00389092672\n"
         )
 
+    def test_uncapped_sweep_writes_the_capped_files(self, small_cfg, tmp_path):
+        # inf means no cap; no run of the small config reaches the default
+        # cap, so lifting it changes no byte.
+        assert main(["simulate", *out_args(small_cfg, tmp_path)]) == 0
+        args = ["--axis", "run.divergence_cap", "--values", "inf", "--workers", "1"]
+        assert main(["sweep", *out_args(small_cfg, tmp_path), *args]) == 0
+        out = tmp_path / "out"
+        for name in ("exp_agg.csv", "const_agg.csv", "gap_vs_cost.svg"):
+            assert (out / "sweep_run_divergence_cap_inf" / name).read_bytes() == (out / name).read_bytes()
+
+    def test_dotted_label_parameter_sweeps(self, small_cfg, tmp_path):
+        # The key follows the last dot, so policy.exp.v1.u is key u of
+        # [policy exp.v1], and sweeps it as policy.exp.u sweeps [policy exp].
+        dotted = tmp_path / "dotted.cfg"
+        dotted.write_text(SMALL.replace("[policy exp]", "[policy exp.v1]"))
+        for cfg, axis in ((dotted, "policy.exp.v1.u"), (small_cfg, "policy.exp.u")):
+            args = ["sweep", "--config", str(cfg), "--out", str(tmp_path / axis), "--axis", axis, "--values", "1.0"]
+            assert main([*args, "--workers", "1"]) == 0
+        rows = read_agg_csv(tmp_path / "policy.exp.v1.u" / "sweep_policy_exp_v1_u_1.0" / "exp.v1_agg.csv")
+        want = read_agg_csv(tmp_path / "policy.exp.u" / "sweep_policy_exp_u_1.0" / "exp_agg.csv")
+        assert [replace(r, policy_label="exp") for r in rows] == want
+
     def test_failed_pooled_sweep_leaves_no_worker(self, small_cfg, tmp_path, capsys):
         # Every run of the first point diverges at its first update.
         args = ["--axis", "run.divergence_cap", "--values", "1e-9,1e6", "--workers", "2"]
@@ -709,8 +731,14 @@ class TestSweep:
     def test_non_finite_swept_value_is_validation_error(self, small_cfg, tmp_path, capsys, axis, value):
         # The same value in the config file is a validation error (exit 1).
         assert main(["sweep", *out_args(small_cfg, tmp_path), "--axis", axis, f"--values={value}"]) == 1
-        key = axis.split(".")[1]
-        assert f"axis {axis!r}: {key} must be finite" in capsys.readouterr().err
+        message = {
+            "cost.c_g": "cost coefficients must be finite",
+            "cost.c_t": "cost coefficients must be finite",
+            "run.divergence_cap": "divergence_cap must be positive",
+            "run.eta": "eta must be a positive finite real",
+            "model.kappa2": "kappa2 must be a positive finite real",
+        }[axis]
+        assert f"axis {axis!r}: {message}, got " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_horizon_beyond_the_float_range_is_validation_error(self, small_cfg, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterboot import policy as pol
-from iterboot.engine import check_seed
+from iterboot.engine import RunConfig, check_seed
 from iterboot.gaussian import check_theta
 
 from iterboot.config import (
@@ -187,6 +187,8 @@ class TestValidation:
         "old, new, message",
         [
             ("c_g = 0.0", "c_g = -1", "cost coefficients must be non-negative"),
+            ("c_g = 0.0", "c_g = nan", "cost coefficients must be finite"),
+            ("c_g = 0.0", "c_g = inf", "cost coefficients must be finite"),
             ("c_t = 1.0", "c_t = -1", "cost coefficients must be non-negative"),
             ("c_t = 1.0", "c_t = 0", "at least one cost coefficient must be positive"),
         ],
@@ -398,6 +400,10 @@ class TestOverride:
         with pytest.raises(ConfigError, match="no policy labeled"):
             apply_override(parse_config(TOY), "policy.nope.u", "3")
 
+    def test_dotted_label_key_follows_the_last_dot(self):
+        cfg = apply_override(parse_config(TOY.replace("[policy exp]", "[policy exp.v1]")), "policy.exp.v1.u", "1.0")
+        assert cfg.policies[0].label == "exp.v1" and cfg.policies[0].spec.u == 1.0
+
     def test_malformed_axis(self):
         with pytest.raises(ConfigError, match="section.key"):
             apply_override(parse_config(TOY), "u", "3")
@@ -415,7 +421,14 @@ class TestOverride:
         ],
     )
     def test_non_finite_value_rejected(self, axis, value):
-        with pytest.raises(ConfigError, match=rf"axis '{axis}': \w+ must be finite"):
+        message = {
+            "cost.c_g": "cost coefficients must be finite",
+            "cost.c_t": "cost coefficients must be finite",
+            "run.divergence_cap": "divergence_cap must be positive",
+            "run.eta": "eta must be a positive finite real",
+            "model.kappa2": "kappa2 must be a positive finite real",
+        }[axis]
+        with pytest.raises(ConfigError, match=rf"axis '{axis}': {message}, got "):
             apply_override(parse_config(TOY), axis, value)
 
 
@@ -437,6 +450,7 @@ runs = 2
 master_seed = 1
 update = gd
 eta = 0.5
+divergence_cap = 1e6
 
 [cost]
 c_g = 0.0
@@ -447,11 +461,21 @@ eval_samples = 10
 """
 
 _REALS = ["0", "-0.0", "-1", "-1e300", "5e-324", "1e-300", "1", "1e300"]
+_NON_FINITE = ["inf", "-inf", "nan"]
 _INTS = ["0", "-1", str(-(2**64)), "1", "2", str(2**64 - 1), str(2**64), str(10**30)]
+
+
+def _run_config_cap(name, cap):
+    """RunConfig's rule for divergence_cap: positive, inf meaning no cap."""
+    RunConfig(
+        theta0=1.0, schedule=pol.Schedule((1,)), cost=pol.CostModel(0.0, 1.0), seed=0,
+        sigma2=1.0, kappa2=1.0, divergence_cap=cap,
+    )
+
+
 # Each field the config reads through a library checker: its section,
 # the checker, the value a config line's text holds, and the texts to
-# try. Only theta0's parser lets non-finite values through. T's largest
-# is 10**5, since every policy is materialized at T.
+# try. T's largest is 10**5, since every policy is materialized at T.
 CHECKED_FIELDS = {
     "theta0": (
         "model",
@@ -459,10 +483,11 @@ CHECKED_FIELDS = {
         lambda text: np.array([float(tok) for tok in text.split(",")]),
         _REALS + ["inf", "-inf", "nan", "1.0, nan", "-1.0, inf", "1e-300, 1e300"],
     ),
-    "sigma2": ("model", pol.check_positive, float, _REALS),
-    "kappa2": ("model", pol.check_positive, float, _REALS),
+    "sigma2": ("model", pol.check_positive, float, _REALS + _NON_FINITE),
+    "kappa2": ("model", pol.check_positive, float, _REALS + _NON_FINITE),
     "T": ("run", pol.check_positive_int, int, ["0", "-1", str(-(2**64)), "1", "2", str(10**5)]),
-    "eta": ("run", pol.check_positive, float, _REALS),
+    "eta": ("run", pol.check_positive, float, _REALS + _NON_FINITE),
+    "divergence_cap": ("run", _run_config_cap, float, _REALS + _NON_FINITE),
     "master_seed": ("run", check_seed, int, _INTS),
     "eval_samples": ("output", pol.check_positive_int, int, _INTS),
 }

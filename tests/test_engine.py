@@ -613,7 +613,7 @@ class TestMonteCarlo:
         cfg = toy_config(sched, seed=11)
         agg = monte_carlo(cfg, 1000)
         want = expected_final_reward(marginal(cfg.theta0, sched, 1.0, 2.0), 1.0, 2.0)
-        assert abs(agg.mean_reward[-1] - want) < 4 * agg.se_reward[-1]
+        assert abs((agg.r_star - agg.mean_gap[-1]) - want) < 4 * agg.se_gap[-1]
 
     def test_increasing_schedule_converges_constant_stalls(self):
         # Thm-3/Thm-2 probes: an increasing schedule closes most of the

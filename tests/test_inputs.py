@@ -160,7 +160,7 @@ def test_a_numpy_integer_count_reads_as_the_python_int(kind):
     schedule = Schedule((kind(10), kind(3)))
     assert schedule == Schedule((10, 3)) and [type(v) for v in schedule.n] == [int, int]
     assert Explicit([kind(10), kind(3)]) == Explicit([10, 3])
-    assert cost_curve([kind(10), kind(3)], 1.0, 1.0, 2.0, TRAIN_ONLY).n == (10, 3)
+    assert cost_curve([kind(10), kind(3)], 1.0, 1.0, 2.0, TRAIN_ONLY).schedule.n == (10, 3)
     law, want = marginal(1.0, [kind(10), kind(3)], 1.0, 2.0), marginal(1.0, [10, 3], 1.0, 2.0)
     assert law.mu.tolist() == want.mu.tolist() and law.sigma2_T == want.sigma2_T
     got = select_batch(*_SELECT_PAIR, kind(5), kind(200), np.random.default_rng(0))
