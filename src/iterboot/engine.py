@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -134,9 +135,24 @@ def _generators(seeds: list[int]) -> np.ndarray:
 @functools.cache
 def _pcg64_generator() -> Callable[[np.ndarray], np.random.Generator]:
     # numpy.random loads on first use, so only a process that runs
-    # selections pays for importing it.
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
+    # selections pays for importing it. Its bit_generator imports secrets,
+    # whose hmac would load OpenSSL (3.4 MB of libcrypto) through _hashlib.
+    # Unless the process has loaded _hashlib already, it is hidden for this
+    # import, so hmac and hashlib fall back to the stdlib's own code; the
+    # hashlib and hmac loaded that way are dropped afterwards, so a later
+    # import gets OpenSSL's. This saves memory only: no generator hashes,
+    # so every stream is bit for bit what it was.
+    hide = "_hashlib" not in sys.modules
+    if hide:
+        fallback = [name for name in ("hashlib", "hmac") if name not in sys.modules]
+        sys.modules["_hashlib"] = None
+    try:
+        from numpy.random import PCG64, Generator
+        from numpy.random.bit_generator import ISeedSequence
+    finally:
+        if hide:
+            for name in ("_hashlib", *fallback):
+                sys.modules.pop(name, None)
 
     class Words(ISeedSequence):
         """A seed sequence that hands PCG64 its precomputed state words."""

@@ -153,7 +153,6 @@ def monte_carlo(cfg: RunConfig, runs: int) -> MonteCarloTrace:
     seeds = [run_seed(cfg.seed, i) for i in range(runs)]
     results = [_run_arrays(cfg, s) for s in seeds]
 
-    T = len(cfg.schedule.n)
     completed = [r for r in results if r[0] == COMPLETED]
     diverged = sum(1 for r in results if r[0] == DIVERGED)
     capped = sum(1 for r in results if r[0] == DRAW_CAP_HIT)

@@ -1,6 +1,7 @@
 """Selection step, run execution, determinism, Monte Carlo aggregation."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -128,6 +129,92 @@ class TestSeedSplitting:
         src = str(Path(engine.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# Run in a fresh interpreter: pytest's own process has hashlib loaded.
+# openssl() is what a process holds of OpenSSL: whether _hashlib is
+# loaded, and whether libcrypto is mapped (None off Linux).
+_OPENSSL_PROBE = """
+import os, sys
+import numpy as np
+from iterboot import engine
+
+def openssl():
+    maps = None
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as fh:
+            maps = "libcrypto" in fh.read()
+    return "_hashlib" in sys.modules, maps
+"""
+
+
+def _run_fresh(code, *args):
+    src = str(Path(engine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _OPENSSL_PROBE + code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+class TestOpenSslHidden:
+    """numpy.random imports secrets, whose hmac would load OpenSSL; the
+    engine imports it with _hashlib hidden and no generator changes."""
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_drawing_process_and_workers_load_no_openssl(self, tmp_path):
+        code = """
+import json, multiprocessing
+from iterboot.engine import CostModel, RunConfig, Schedule, monte_carlo
+
+# A patched engine reaches the pool's workers only when they are forked.
+multiprocessing.set_start_method("fork")
+parent, real = os.getpid(), engine._generators
+
+def probe(seeds):
+    gens = real(seeds)
+    with open(os.path.join(sys.argv[1], f"{os.getpid()}.json"), "w") as fh:
+        json.dump(openssl(), fh)
+    return gens
+
+engine._generators = probe
+cfg = RunConfig(theta0=np.ones(2), schedule=Schedule((5, 5)), cost=CostModel(0.0, 1.0),
+                seed=7, sigma2=1.0, kappa2=2.0)
+monte_carlo(cfg, 40, workers=2)
+seen = {}
+for name in os.listdir(sys.argv[1]):
+    with open(os.path.join(sys.argv[1], name)) as fh:
+        seen[int(name[:-5])] = tuple(json.load(fh))
+assert seen and parent not in seen, seen
+assert not any(any(s) for s in seen.values()), seen
+
+real([1, 2])
+assert not any(openssl()), openssl()
+assert "hashlib" not in sys.modules and "hmac" not in sys.modules
+assert np.random.SeedSequence().entropy > 0
+import random, secrets  # secrets is loaded already, with stdlib hmac
+assert type(secrets.randbits.__self__) is random.SystemRandom
+assert 0 <= secrets.randbits(64) < 2**64
+
+# A later import gets OpenSSL's hashlib and hmac.
+import hashlib, hmac
+assert hashlib.sha256 is sys.modules["_hashlib"].openssl_sha256
+assert hmac._hashopenssl is sys.modules["_hashlib"]
+assert hasattr(hashlib, "scrypt")
+assert openssl() in {(True, True), (True, None)}, openssl()  # the probe sees it
+"""
+        _run_fresh(code, str(tmp_path))
+
+    def test_process_with_hashlib_keeps_its_modules(self):
+        code = """
+import hashlib, hmac
+engine._generators([1, 2])
+assert sys.modules["hashlib"] is hashlib and sys.modules["hmac"] is hmac
+assert sys.modules["_hashlib"] is hmac._hashopenssl
+assert hashlib.sha256 is sys.modules["_hashlib"].openssl_sha256
+"""
+        _run_fresh(code)
 
 
 class TestSelectBatch:
